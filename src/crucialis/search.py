@@ -1,46 +1,83 @@
 """Exhaustive search for crucial words: minimal length, certificates, enumeration.
 
-The engine runs an iterative-deepening scan: for each target length L it
-enumerates abelian-k-power-free words of length L by depth-first extension,
-pruning any prefix that already ends in an abelian k-th power, and tests
-cruciality at the leaves. Minimal-length search stops at the first length
-carrying a witness; the witness returned is the lexicographically least
-canonical crucial word of that length.
+The engine scans R = reverse(W) instead of W. Reversing a factor X_1...X_k
+gives rev(X_k)...rev(X_1), whose blocks are again anagrams of each other, so
+W is abelian-k-power-free exactly when R is. R is grown left to right by
+depth-first extension, and any prefix that ends in an abelian k-th power is
+cut. Reversal turns cruciality into a property of prefixes: W.x ends in an
+abelian k-th power with blocks of length b exactly when x.R[0:kb-1] is one.
+Letter x is *completed* at t = kb-1 when that holds. W is crucial exactly when
+it is free and every letter is completed at some t <= |W|, because in a free
+word any power that W.x gains is a suffix.
 
-Symmetry reduction restricts the scan to canonical words, those whose letters
-are named in order of first occurrence (letter i+1 may only appear after
-letter i has). Every word is a renaming of exactly one canonical word and
-renaming preserves cruciality, so minimal lengths are unaffected; the
-canonical word is also the lex-least among its renamings, so the reported
-witness does not change either. Leaves are always tested by the full
-cruciality predicate; the reduction only shapes which prefixes are walked.
+Two cuts follow. Both are sound: neither removes a word that the mode needs.
 
-The tree is split at a fixed shallow depth into branches. Branches are
-scanned in lexicographic order, sequentially or on a process pool; the merge
-consumes results in branch order and stops at the first branch containing a
-witness, so parallel runs return byte-identical results to sequential ones
-(speculative later branches are discarded, and their nodes are not counted).
+(a) Length residue. Let W be crucial and, for each letter x, let D_x be the
+shortest suffix of W with D_x.x an abelian k-th power, so k divides |D_x|+1.
+Let D be the longest D_x. Every D_y is a suffix of D, so D.y ends in the
+power D_y.y for every y, and D is free as a factor of W. So D is crucial,
+|D| <= |W| and |D| = k-1 (mod k). Hence the minimal crucial length is k-1
+(mod k), and when some crucial word is shorter than a limit, one of such a
+length is. Find and verify modes scan only lengths L = k-1 (mod k).
+Enumeration scans the one length it is given.
+
+(b) Completion slots. Letter x can complete only at t = k-1 (mod k), and t
+fixes the block length b = (t+1)/k. Let P[i] be the letter counts of R[0:i].
+Block 1 of the power is x.R[0:b-1] and block 2 is R[b-1:2b-1], so the unit
+vector of x must equal P[2b-1] - 2*P[b-1]. At most one letter completes at
+each t: the one that difference names, if the remaining blocks match too.
+Completion at t reads only R[0:t], so a completed letter stays completed as
+the prefix grows. A prefix of length m whose uncompleted letters outnumber
+the slots #{t in (m, L] : t = k-1 (mod k)} cannot grow into a crucial word
+of length L, and it is cut. Every leaf that survives has all n letters
+completed, so every leaf reached is crucial and no leaf test is run.
+
+Symmetry reduction restricts the scan to canonical R, whose letters are named
+in order of first occurrence in R (letter i+1 may only appear after letter i
+has). Renaming preserves freeness and cruciality, and each renaming class has
+exactly one canonical member, so the scan meets each class once. A hit R maps
+to W-canonical form: reverse it, then rename by first occurrence in W. That
+form is the lex-least member of its class. Without the reduction a hit maps
+to its plain reverse.
+
+Find and verify modes scan the residue lengths upward. At the first length
+with hits they finish the whole length and return the least mapped hit. This
+is the lex-least canonical crucial word of the minimal length, the witness a
+forward scan reports. crucial_words_found counts every crucial word scanned
+at that length: every canonical word under symmetry reduction, every word
+without it. Enumeration maps and sorts all hits of its length.
+
+The tree is split at a fixed shallow depth into branches, prefixes of R.
+Branches are scanned in lexicographic order, sequentially or on a process
+pool that is started on first use and serves every length of one search
+call. Results are consumed in branch order, so parallel runs return results
+equal to sequential ones, node counts included. When the search stops early,
+the workers still running are terminated rather than waited for.
 
 Node budgets are enforced deterministically: each branch runs under the full
-budget as a hard cap, and the driver stops dispatching once the running total
+budget as a hard cap, and the driver stops consuming once the running total
 crosses the budget. Time budgets are a wall-clock safety net and are the one
-knob that trades determinism for protection. A budget that trips mid-search
-downgrades the result to exhaustive=False rather than raising, except in
-enumeration mode where truncating the stream raises BudgetExhaustedError.
+knob that trades determinism for protection. A budget that trips downgrades
+the result to exhaustive=False rather than raising. A trip at the length that
+carries hits keeps the proven minimal length and the least hit seen so far,
+still with exhaustive=False. Enumeration sorts its words only once the whole
+length is scanned, so a trip there raises BudgetExhaustedError without
+yielding any word.
 
 Checkpoint files make long scans resumable. The file starts with a header
-line recording n, k, reduction flag and branch depth, then one line per
-completed branch: target length, comma-joined branch prefix, nodes expanded
-below it, number of crucial words found, and the least witness found (or -).
-Re-running with the same configuration reuses recorded branches and appends
-new ones; find and verify runs of the same (n, k) may share a file.
+line recording the format version, n, k, reduction flag and branch depth,
+then one line per completed branch: target length, comma-joined branch
+prefix of R, nodes expanded below it, number of crucial words found, and the
+least of them in W form (or -). Re-running with the same configuration reuses
+recorded branches and appends new ones; find and verify runs of the same
+(n, k) may share a file. A torn final line, left by an interrupted write, is
+cut off on load; a malformed line anywhere else raises DomainError.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
@@ -116,7 +153,9 @@ class SearchResult:
     with the scans the verdict depends on. exhaustive=True with
     crucial_words_found=0 in verify mode certifies the absence claim;
     exhaustive=False means budgets cut the run short and the fields report
-    whatever was established before the cut.
+    whatever was established before the cut. crucial_words_found counts the
+    crucial words scanned at the minimal length (one per renaming class under
+    symmetry reduction).
     """
 
     minimal_length: int | None
@@ -126,106 +165,66 @@ class SearchResult:
     crucial_words_found: int
 
 
-def _branches(
-    n: int, k: int, depth: int, full_length: int, reduction: bool
-) -> tuple[list[tuple[int, ...]], int]:
-    """All free (optionally canonical) prefixes of exactly `depth` letters.
+def _completed(P: list[int], t: int, k: int, letter_of: dict[int, int]) -> int:
+    """The letter x with x.R[0:t] an abelian k-th power, or 0 if none.
 
-    Returns them in lexicographic order along with the node count spent, one
-    per attempted letter append. Prefixes that cannot reach all n letters
-    within full_length positions are pruned, matching the deep scan.
-    `seen` tracks the max letter under reduction, a bitmask otherwise.
+    t must be k-1 (mod k); P holds the packed letter counts of R's prefixes.
     """
-    prefixes: list[tuple[int, ...]] = []
-    nodes = 0
-    P = [0] * (depth + 1)
-    word = [0] * depth
+    b = (t + 1) // k
+    block = P[2 * b - 1] - P[b - 1]
+    x = letter_of.get(block - P[b - 1], 0)
+    j = 3
+    while x and j <= k:
+        if P[j * b - 1] - P[(j - 1) * b - 1] != block:
+            return 0
+        j += 1
+    return x
+
+
+def _walk(
+    n: int,
+    k: int,
+    L: int,
+    prefix: tuple[int, ...],
+    reduction: bool,
+    stop: int,
+    node_cap: int | None,
+    deadline: float | None,
+) -> tuple[int, list[tuple[int, ...]], bool]:
+    """Depth-first scan of free R-words of length L that extend `prefix`.
+
+    Walks down to `stop` letters and returns the nodes expanded (one per
+    attempted letter append), the surviving words of `stop` letters in lex
+    order, and whether a budget tripped. With stop == L every word returned
+    is crucial once reversed.
+    """
     unit = [0] + [1 << ((c - 1) * _SHIFT) for c in range(1, n + 1)]
-
-    def free_after_append(m: int) -> bool:
-        # m = index of the appended letter; blocks read off packed prefixes
-        t = m + 1
-        for b in range(1, t // k + 1):
-            first = P[t] - P[t - b]
-            j = 2
-            while j <= k and P[t - (j - 1) * b] - P[t - j * b] == first:
-                j += 1
-            if j > k:
-                return False
-        return True
-
-    def walk(m: int, seen: int) -> None:
-        nonlocal nodes
-        missing = (n - seen) if reduction else (n - bin(seen).count("1"))
-        if missing > full_length - m:
-            return
-        if m == depth:
-            prefixes.append(tuple(word))
-            return
-        lim = min(seen + 1, n) if reduction else n
-        for a in range(1, lim + 1):
-            nodes += 1
-            P[m + 1] = P[m] + unit[a]
-            if free_after_append(m):
-                word[m] = a
-                walk(m + 1, max(seen, a) if reduction else seen | (1 << (a - 1)))
-
-    walk(0, 0)
-    return prefixes, nodes
-
-
-def _scan_branch(task: tuple) -> tuple[int, tuple[tuple[int, ...], ...], bool]:
-    """Depth-first scan below one branch prefix.
-
-    task = (n, k, L, prefix, reduction, node_cap, deadline). Returns the
-    nodes expanded below the prefix, the crucial words found (lex order),
-    and whether a budget tripped mid-branch.
-    """
-    n, k, L, prefix, reduction, node_cap, deadline = task
+    letter_of = {unit[c]: c for c in range(1, n + 1)}
+    slots = (L + 1) // k  # completion slots t <= L
     m0 = len(prefix)
     P = [0] * (L + 1)
-    acc = 0
     for i, a in enumerate(prefix):
-        acc += 1 << ((a - 1) * _SHIFT)
-        P[i + 1] = acc
+        P[i + 1] = P[i] + unit[a]
     word = list(prefix) + [0] * (L - m0)
-    unit = [0] + [1 << ((c - 1) * _SHIFT) for c in range(1, n + 1)]
+    done = 0
+    for t in range(k - 1, m0 + 1, k):
+        done |= 1 << _completed(P, t, k, letter_of)
+    done &= ~1  # bit x marks letter x completed; bit 0 collected the misses
+    left = n - bin(done).count("1")
     nodes = 0
     tripped = False
-    found: list[tuple[int, ...]] = []
+    out: list[tuple[int, ...]] = []
 
-    def leaf_is_crucial() -> bool:
-        top = P[L]
-        for x in range(1, n + 1):
-            px = top + unit[x]
-            t = L + 1
-            ok = False
-            for b in range(1, t // k + 1):
-                first = px - P[t - b]
-                j = 2
-                while j <= k and P[t - (j - 1) * b] - P[t - j * b] == first:
-                    j += 1
-                if j > k:
-                    ok = True
-                    break
-            if not ok:
-                return False
-        return True
-
-    def dfs(m: int, seen: int) -> None:
+    def dfs(m: int, seen: int, done: int, left: int) -> None:
         nonlocal nodes, tripped
-        if tripped:
+        if m == stop:
+            out.append(tuple(word[:m]))
             return
-        missing = (n - seen) if reduction else (n - bin(seen).count("1"))
-        if missing > L - m:
-            return
-        if m == L:
-            if leaf_is_crucial():
-                found.append(tuple(word))
-            return
-        lim = min(seen + 1, n) if reduction else n
+        t = m + 1
+        slot = (t + 1) % k == 0
+        room = slots - (t + 1) // k  # slots left after t
         pm = P[m]
-        for a in range(1, lim + 1):
+        for a in range(1, (min(seen + 1, n) if reduction else n) + 1):
             nodes += 1
             if node_cap is not None and nodes >= node_cap:
                 tripped = True
@@ -235,8 +234,16 @@ def _scan_branch(task: tuple) -> tuple[int, tuple[tuple[int, ...], ...], bool]:
                     tripped = True
                     return
             pa = pm + unit[a]
+            P[t] = pa
+            d, u = done, left
+            if slot:
+                x = _completed(P, t, k, letter_of)
+                if x and not (d >> x) & 1:
+                    d |= 1 << x
+                    u -= 1
+            if u > room:
+                continue  # too few completion slots left
             # reject extensions ending in an abelian k-th power
-            t = m + 1
             bad = False
             for b in range(1, t // k + 1):
                 first = pa - P[t - b]
@@ -248,20 +255,47 @@ def _scan_branch(task: tuple) -> tuple[int, tuple[tuple[int, ...], ...], bool]:
                     break
             if bad:
                 continue
-            P[t] = pa
             word[m] = a
-            dfs(m + 1, (max(seen, a) if reduction else seen | (1 << (a - 1))))
+            dfs(t, max(seen, a), d, u)
             if tripped:
                 return
 
-    if reduction:
-        seen0 = max(prefix) if prefix else 0
-    else:
-        seen0 = 0
-        for a in prefix:
-            seen0 |= 1 << (a - 1)
-    dfs(m0, seen0)
-    return nodes, tuple(found), tripped
+    if left <= slots - (m0 + 1) // k:
+        dfs(m0, max(prefix, default=0), done, left)
+    return nodes, out, tripped
+
+
+def _w_form(r: tuple[int, ...], reduction: bool) -> tuple[int, ...]:
+    """The word W whose reverse is the hit r, W-canonical under reduction."""
+    w = r[::-1]
+    if not reduction:
+        return w
+    names: dict[int, int] = {}
+    return tuple(names.setdefault(a, len(names) + 1) for a in w)
+
+
+def _branches(
+    n: int, k: int, depth: int, full_length: int, reduction: bool
+) -> tuple[list[tuple[int, ...]], int]:
+    """All R-prefixes of exactly `depth` letters that the deep scan would reach.
+
+    Returns them in lexicographic order along with the node count spent, one
+    per attempted letter append. The walk is the deep scan's, stopped early.
+    """
+    nodes, prefixes, _ = _walk(n, k, full_length, (), reduction, depth, None, None)
+    return prefixes, nodes
+
+
+def _scan_branch(task: tuple) -> tuple[int, tuple[tuple[int, ...], ...], bool]:
+    """Depth-first scan below one branch prefix of R.
+
+    task = (n, k, L, prefix, reduction, node_cap, deadline). Returns the
+    nodes expanded below the prefix, the crucial words found in W form,
+    sorted, and whether a budget tripped mid-branch.
+    """
+    n, k, L, prefix, reduction, node_cap, deadline = task
+    nodes, hits, tripped = _walk(n, k, L, prefix, reduction, L, node_cap, deadline)
+    return nodes, tuple(sorted(_w_form(r, reduction) for r in hits)), tripped
 
 
 class _Checkpoint:
@@ -270,7 +304,7 @@ class _Checkpoint:
     def __init__(self, path: str | Path, cfg: SearchConfig):
         self.path = Path(path)
         self.header = (
-            f"# crucialis checkpoint v1 n={cfg.n} k={cfg.k} "
+            f"# crucialis checkpoint v2 n={cfg.n} k={cfg.k} "
             f"reduction={int(cfg.symmetry_reduction)} depth={_BRANCH_DEPTH}"
         )
         self.done: dict[tuple[int, tuple[int, ...]], tuple[int, int, tuple[int, ...] | None]] = {}
@@ -281,23 +315,40 @@ class _Checkpoint:
             with open(self.path, "w") as fh:
                 fh.write(self.header + "\n")
 
+    @staticmethod
+    def _parse(line: str):
+        """(key, record) of one complete branch line; ValueError if malformed."""
+        parts = line.split()
+        if not line.endswith("\n") or len(parts) != 5:
+            raise ValueError(line)
+        length = int(parts[0])
+        prefix = tuple(int(x) for x in parts[1].split(","))
+        nodes, count = int(parts[2]), int(parts[3])
+        lexmin = None if parts[4] == "-" else tuple(int(x) for x in parts[4].split(","))
+        return (length, prefix), (nodes, count, lexmin)
+
     def _load(self) -> None:
         with open(self.path) as fh:
-            first = fh.readline().rstrip("\n")
-            if first != self.header:
+            lines = fh.readlines()
+        if lines[0].rstrip("\n") != self.header:
+            raise DomainError(
+                f"checkpoint {self.path} belongs to a different search "
+                f"(found {lines[0].rstrip()!r})"
+            )
+        size = len(lines[0])
+        for i, line in enumerate(lines[1:], start=2):
+            try:
+                key, rec = self._parse(line)
+            except ValueError:
+                if i == len(lines):
+                    # torn tail from an interrupted run: cut it so appends start clean
+                    os.truncate(self.path, size)
+                    return
                 raise DomainError(
-                    f"checkpoint {self.path} belongs to a different search "
-                    f"(found {first!r})"
-                )
-            for line in fh:
-                parts = line.split()
-                if len(parts) != 5:
-                    continue  # torn tail line from an interrupted run
-                length = int(parts[0])
-                prefix = tuple(int(x) for x in parts[1].split(","))
-                nodes, count = int(parts[2]), int(parts[3])
-                lexmin = None if parts[4] == "-" else tuple(int(x) for x in parts[4].split(","))
-                self.done[(length, prefix)] = (nodes, count, lexmin)
+                    f"checkpoint {self.path} line {i} is malformed: {line.rstrip()!r}"
+                ) from None
+            self.done[key] = rec
+            size += len(line)
 
     def get(self, length: int, prefix: tuple[int, ...]):
         return self.done.get((length, prefix))
@@ -320,12 +371,35 @@ class _Checkpoint:
             fh.write(f"{length} {pw} {nodes} {count} {lw}\n")
 
 
+class _Workers:
+    """The process pool of one search call, started on first use."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.pool = None
+
+    def imap(self, tasks: list[tuple]) -> Iterator:
+        if self.pool is None:
+            # fork keeps workers independent of how the parent was launched
+            method = "fork" if "fork" in get_all_start_methods() else "spawn"
+            self.pool = get_context(method).Pool(self.size)
+        return self.pool.imap(_scan_branch, tasks, chunksize=1)
+
+    def close(self) -> None:
+        """Stop the workers, including any still scanning discarded branches."""
+        if self.pool is not None:
+            self.pool.terminate()
+            self.pool.join()
+            self.pool = None
+
+
 @dataclass
 class _ScanState:
     nodes: int = 0
     words: int = 0
     tripped: bool = False
-    first_found: tuple[int, tuple[int, ...]] | None = None  # (length, lexmin word)
+    best: tuple[int, ...] | None = None  # least hit in W form
+    keep: list[tuple[int, ...]] | None = None  # every hit, when enumerating
 
 
 def _deadline(cfg: SearchConfig) -> float | None:
@@ -342,116 +416,74 @@ def _scan_length(
     state: _ScanState,
     ckpt: _Checkpoint | None,
     deadline: float | None,
-    stop_on_found: bool,
+    workers: _Workers,
 ) -> None:
     """Scan all branches at target length L, updating state in branch order.
 
-    Sets state.first_found at the first branch carrying a word; stops there
-    when stop_on_found. Branches already in the checkpoint are reused, not
-    re-run; freshly completed branches are recorded.
+    Stops early only when a budget trips. Branches already in the checkpoint
+    are reused, not re-run; freshly completed branches are recorded.
     """
     depth = min(_BRANCH_DEPTH, L)
     prefixes, enum_nodes = _branches(cfg.n, cfg.k, depth, L, cfg.symmetry_reduction)
     state.nodes += enum_nodes
-
-    def consume(prefix, nodes, count, lexmin, tripped, fresh) -> bool:
-        """Fold one branch outcome into state; True means stop the scan."""
-        state.nodes += nodes
-        if tripped:
-            state.tripped = True
-            return True
-        state.words += count
-        if ckpt and fresh:
-            ckpt.record(L, prefix, nodes, count, lexmin)
-        if count > 0 and state.first_found is None:
-            state.first_found = (L, lexmin)
-            if stop_on_found:
-                return True
-        if _over_budget(cfg, state):
-            state.tripped = True
-            return True
-        if deadline is not None and time.monotonic() > deadline:
-            state.tripped = True
-            return True
-        return False
-
     if _over_budget(cfg, state):
         state.tripped = True
         return
 
-    cap = cfg.node_budget
-    pending = [p for p in prefixes if ckpt is None or ckpt.get(L, p) is None]
-
-    if cfg.workers <= 1 or len(pending) <= 1:
-        for prefix in prefixes:
-            rec = ckpt.get(L, prefix) if ckpt else None
-            if rec is not None:
-                nodes, count, lexmin = rec
-                stop = consume(prefix, nodes, count, lexmin, False, fresh=False)
-            else:
-                nodes, fnd, tripped = _scan_branch(
-                    (cfg.n, cfg.k, L, prefix, cfg.symmetry_reduction, cap, deadline)
-                )
-                lexmin = fnd[0] if fnd else None
-                stop = consume(prefix, nodes, len(fnd), lexmin, tripped, fresh=True)
-            if stop:
-                return
-        return
-
-    # parallel: dispatch unrecorded branches on a pool, consume in branch order
-    tasks = [
-        (cfg.n, cfg.k, L, p, cfg.symmetry_reduction, cap, deadline) for p in pending
+    pending = [
+        (cfg.n, cfg.k, L, p, cfg.symmetry_reduction, cfg.node_budget, deadline)
+        for p in prefixes
+        if ckpt is None or ckpt.get(L, p) is None
     ]
-    # fork keeps workers independent of how the parent was launched
-    method = "fork" if "fork" in get_all_start_methods() else "spawn"
-    ctx = get_context(method)
-    with ProcessPoolExecutor(max_workers=cfg.workers, mp_context=ctx) as pool:
-        results = pool.map(_scan_branch, tasks, chunksize=1)
-        for prefix in prefixes:
-            rec = ckpt.get(L, prefix) if ckpt else None
-            if rec is not None:
-                nodes, count, lexmin = rec
-                stop = consume(prefix, nodes, count, lexmin, False, fresh=False)
-            else:
-                nodes, fnd, tripped = next(results)
-                lexmin = fnd[0] if fnd else None
-                stop = consume(prefix, nodes, len(fnd), lexmin, tripped, fresh=True)
-            if stop:
-                pool.shutdown(wait=False, cancel_futures=True)
+    if cfg.workers > 1 and len(pending) > 1:
+        fresh = workers.imap(pending)
+    else:
+        fresh = map(_scan_branch, pending)
+
+    for prefix in prefixes:
+        rec = ckpt.get(L, prefix) if ckpt else None
+        if rec is None:
+            nodes, found, tripped = next(fresh)
+            if tripped:
+                state.nodes += nodes
+                state.tripped = True
                 return
+            rec = (nodes, len(found), found[0] if found else None)
+            if state.keep is not None:
+                state.keep.extend(found)
+            if ckpt:
+                ckpt.record(L, prefix, *rec)
+        nodes, count, lexmin = rec
+        state.nodes += nodes
+        state.words += count
+        if lexmin is not None and (state.best is None or lexmin < state.best):
+            state.best = lexmin
+        if _over_budget(cfg, state) or (deadline is not None and time.monotonic() > deadline):
+            state.tripped = True
+            return
 
 
-def _open_checkpoint(cfg: SearchConfig) -> _Checkpoint | None:
-    if cfg.checkpoint_path is None:
-        return None
-    return _Checkpoint(cfg.checkpoint_path, cfg)
-
-
-def search_minimal(cfg: SearchConfig) -> SearchResult:
-    """Find the minimal crucial length for (n, k) up to cfg.max_length.
-
-    Scans lengths upward; the first length carrying a crucial word is the
-    minimum, and the witness is the lex-least canonical crucial word there.
-    Returns exhaustive=False with whatever was established if a budget trips.
-    """
-    if not isinstance(cfg.target_mode, FindMinimalCrucial):
-        raise DomainError("search_minimal requires target_mode=FindMinimalCrucial()")
-    ckpt = _open_checkpoint(cfg)
+def _search(cfg: SearchConfig, lengths: range) -> SearchResult:
+    """Scan the residue lengths upward; the first one with hits is minimal."""
+    ckpt = _Checkpoint(cfg.checkpoint_path, cfg) if cfg.checkpoint_path is not None else None
     deadline = _deadline(cfg)
     state = _ScanState()
-    for L in range(1, cfg.max_length + 1):
-        _scan_length(cfg, L, state, ckpt, deadline, stop_on_found=True)
-        if state.first_found is not None:
-            length, lexmin = state.first_found
-            return SearchResult(
-                minimal_length=length,
-                witness=Word(lexmin, cfg.n),
-                exhaustive=not state.tripped,
-                nodes_expanded=state.nodes,
-                crucial_words_found=state.words,
-            )
-        if state.tripped:
-            break
+    workers = _Workers(cfg.workers)
+    try:
+        for L in lengths:
+            _scan_length(cfg, L, state, ckpt, deadline, workers)
+            if state.best is not None:
+                return SearchResult(
+                    minimal_length=L,
+                    witness=Word(state.best, cfg.n),
+                    exhaustive=not state.tripped,
+                    nodes_expanded=state.nodes,
+                    crucial_words_found=state.words,
+                )
+            if state.tripped:
+                break
+    finally:
+        workers.close()
     return SearchResult(
         minimal_length=None,
         witness=None,
@@ -461,12 +493,24 @@ def search_minimal(cfg: SearchConfig) -> SearchResult:
     )
 
 
+def search_minimal(cfg: SearchConfig) -> SearchResult:
+    """Find the minimal crucial length for (n, k) up to cfg.max_length.
+
+    Scans lengths k-1 (mod k) upward; the first one carrying a crucial word is
+    the minimum, and the witness is the lex-least canonical crucial word there.
+    Returns exhaustive=False with whatever was established if a budget trips.
+    """
+    if not isinstance(cfg.target_mode, FindMinimalCrucial):
+        raise DomainError("search_minimal requires target_mode=FindMinimalCrucial()")
+    return _search(cfg, range(cfg.k - 1, cfg.max_length + 1, cfg.k))
+
+
 def verify_none_below(cfg: SearchConfig) -> SearchResult:
     """Certify no crucial word of length < target exists, or refute with one.
 
     exhaustive=True with crucial_words_found=0 is the certificate; a found
-    word comes back as minimal_length/witness with the count seen up to the
-    stopping branch. max_length must cover target-1 so the certificate is
+    word comes back as minimal_length/witness with the count of crucial words
+    at that length. max_length must cover target-1 so the certificate is
     meaningful.
     """
     if not isinstance(cfg.target_mode, VerifyNoneBelow):
@@ -476,43 +520,16 @@ def verify_none_below(cfg: SearchConfig) -> SearchResult:
         raise DomainError(
             f"max_length={cfg.max_length} cannot certify lengths below {limit}"
         )
-    ckpt = _open_checkpoint(cfg)
-    deadline = _deadline(cfg)
-    state = _ScanState()
-    for L in range(1, limit):
-        _scan_length(cfg, L, state, ckpt, deadline, stop_on_found=True)
-        if state.first_found is not None:
-            length, lexmin = state.first_found
-            return SearchResult(
-                minimal_length=length,
-                witness=Word(lexmin, cfg.n),
-                exhaustive=not state.tripped,
-                nodes_expanded=state.nodes,
-                crucial_words_found=state.words,
-            )
-        if state.tripped:
-            return SearchResult(
-                minimal_length=None,
-                witness=None,
-                exhaustive=False,
-                nodes_expanded=state.nodes,
-                crucial_words_found=state.words,
-            )
-    return SearchResult(
-        minimal_length=None,
-        witness=None,
-        exhaustive=True,
-        nodes_expanded=state.nodes,
-        crucial_words_found=0,
-    )
+    return _search(cfg, range(cfg.k - 1, limit, cfg.k))
 
 
 def enumerate_crucial(cfg: SearchConfig) -> Iterator[Word]:
     """Yield every crucial word of the target length in lexicographic order.
 
     With symmetry reduction only canonical words are yielded (one per
-    renaming class). Runs sequentially; a tripping budget raises
-    BudgetExhaustedError after the words found so far have been yielded.
+    renaming class). The whole length is scanned before the first word is
+    yielded, so a tripping budget raises BudgetExhaustedError without a
+    partial yield.
     """
     if not isinstance(cfg.target_mode, EnumerateAllCrucialAtLength):
         raise DomainError(
@@ -520,25 +537,16 @@ def enumerate_crucial(cfg: SearchConfig) -> Iterator[Word]:
         )
     if cfg.checkpoint_path is not None:
         raise DomainError("checkpointing applies to find and verify modes only")
-    L = cfg.target_mode.length
-    deadline = _deadline(cfg)
-    state = _ScanState()
-    depth = min(_BRANCH_DEPTH, L)
-    prefixes, enum_nodes = _branches(cfg.n, cfg.k, depth, L, cfg.symmetry_reduction)
-    state.nodes += enum_nodes
-    if _over_budget(cfg, state):
-        raise BudgetExhaustedError(f"node budget exhausted after {state.nodes} nodes")
-    for prefix in prefixes:
-        nodes, fnd, tripped = _scan_branch(
-            (cfg.n, cfg.k, L, prefix, cfg.symmetry_reduction, cfg.node_budget, deadline)
-        )
-        state.nodes += nodes
-        for letters in fnd:
-            yield Word(letters, cfg.n)
-        if tripped or _over_budget(cfg, state):
-            raise BudgetExhaustedError(f"budget exhausted after {state.nodes} nodes")
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExhaustedError("time budget exhausted")
+    state = _ScanState(keep=[])
+    workers = _Workers(cfg.workers)
+    try:
+        _scan_length(cfg, cfg.target_mode.length, state, None, _deadline(cfg), workers)
+    finally:
+        workers.close()
+    if state.tripped:
+        raise BudgetExhaustedError(f"budget exhausted after {state.nodes} nodes")
+    for letters in sorted(state.keep):
+        yield Word(letters, cfg.n)
 
 
 def double_check_witness(w: Word, k: int) -> bool:

@@ -224,7 +224,7 @@ class TestSearch:
         code, out, _ = invoke(
             [
                 "search", "--n", "3", "--k", "3", "--mode", "none-below",
-                "--length", "11", "--node-budget", "100",
+                "--length", "11", "--node-budget", "50",
             ]
         )
         assert code == 3
@@ -250,7 +250,7 @@ class TestSearch:
         assert code == 0
         ckpt = tmp_path / "crucialis-search-n2-k3.ckpt"
         assert ckpt.exists()
-        assert ckpt.read_text().startswith("# crucialis checkpoint v1 n=2 k=3")
+        assert ckpt.read_text().startswith("# crucialis checkpoint v2 n=2 k=3")
 
 
 class TestTable:

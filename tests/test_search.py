@@ -1,9 +1,14 @@
 """Search engine: minima, enumeration, certificates, budgets, checkpoints."""
 
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import crucialis
 from crucialis.errors import BudgetExhaustedError, DomainError
 from crucialis.search import (
     EnumerateAllCrucialAtLength,
@@ -12,6 +17,7 @@ from crucialis.search import (
     VerifyNoneBelow,
     double_check_witness,
     enumerate_crucial,
+    _branches,
     search_minimal,
     verify_none_below,
 )
@@ -84,8 +90,10 @@ class TestDeterminism:
         assert search_minimal(cfg) == search_minimal(cfg)
 
     def test_repeat_runs_identical_under_budget(self):
-        cfg = SearchConfig(n=3, k=3, node_budget=9000)
-        assert search_minimal(cfg) == search_minimal(cfg)
+        cfg = SearchConfig(n=3, k=3, node_budget=500)
+        first = search_minimal(cfg)
+        assert not first.exhaustive
+        assert first == search_minimal(cfg)
 
     def test_parallel_matches_sequential(self):
         seq = search_minimal(SearchConfig(n=3, k=3))
@@ -114,6 +122,36 @@ class TestDeterminism:
         )
         assert par == seq
 
+    def test_parallel_budget_trip_stops_running_workers(self, tmp_path):
+        # Complete the lengths below 20, then record the first length-20 branch
+        # with a node count that spends the budget. The resumed workers=2 run
+        # trips on consuming that record while its workers are still scanning
+        # the next branches, each of which would run on to the full budget.
+        path = tmp_path / "scan.ckpt"
+        assert search_minimal(
+            SearchConfig(n=4, k=3, max_length=17, checkpoint_path=path)
+        ).exhaustive
+        first = _branches(4, 3, 4, 20, True)[0][0]
+        with path.open("a") as fh:
+            fh.write(f"20 {','.join(map(str, first))} 10000000 0 -\n")
+        script = (
+            "import sys\n"
+            "from crucialis.search import SearchConfig, search_minimal\n"
+            "r = search_minimal(SearchConfig(n=4, k=3, max_length=20, workers=2,\n"
+            "    node_budget=10**7, checkpoint_path=sys.argv[1]))\n"
+            "print(r.exhaustive, r.minimal_length)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(crucialis.__file__).parents[1]))
+        started = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        # a worker left to finish its branch would scan for about 15 s
+        assert time.monotonic() - started < 5.0
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "None"]
+
 
 class TestEnumerate:
     def test_all_words_at_minimal_length(self):
@@ -132,7 +170,7 @@ class TestEnumerate:
 
     def test_budget_trip_raises_after_partial_yield(self):
         cfg = SearchConfig(
-            n=3, k=3, target_mode=EnumerateAllCrucialAtLength(11), node_budget=5000
+            n=3, k=3, target_mode=EnumerateAllCrucialAtLength(11), node_budget=500
         )
         got = []
         with pytest.raises(BudgetExhaustedError):
@@ -202,7 +240,7 @@ class TestBudgets:
         assert result.minimal_length is None
 
     def test_verify_under_budget_is_not_certified(self):
-        cfg = SearchConfig(n=3, k=3, target_mode=VerifyNoneBelow(11), node_budget=100)
+        cfg = SearchConfig(n=3, k=3, target_mode=VerifyNoneBelow(11), node_budget=50)
         result = verify_none_below(cfg)
         assert not result.exhaustive
         assert result.crucial_words_found == 0
@@ -212,7 +250,7 @@ class TestCheckpoints:
     def test_resume_matches_fresh(self, tmp_path):
         path = tmp_path / "scan.ckpt"
         tripped = search_minimal(
-            SearchConfig(n=3, k=3, node_budget=9000, checkpoint_path=path)
+            SearchConfig(n=3, k=3, node_budget=1000, checkpoint_path=path)
         )
         assert not tripped.exhaustive
         lines_after_trip = path.read_text().splitlines()
@@ -238,11 +276,39 @@ class TestCheckpoints:
 
     def test_torn_tail_line_tolerated(self, tmp_path):
         path = tmp_path / "scan.ckpt"
-        search_minimal(SearchConfig(n=3, k=3, node_budget=9000, checkpoint_path=path))
+        tripped = search_minimal(
+            SearchConfig(n=3, k=3, node_budget=1000, checkpoint_path=path)
+        )
+        assert not tripped.exhaustive
         with path.open("a") as fh:
             fh.write("11 1,2,3\n")
         resumed = search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path))
         assert resumed == search_minimal(SearchConfig(n=3, k=3))
+
+    def test_torn_tail_without_newline_is_cut(self, tmp_path):
+        path = tmp_path / "scan.ckpt"
+        tripped = search_minimal(
+            SearchConfig(n=3, k=3, node_budget=1000, checkpoint_path=path)
+        )
+        assert not tripped.exhaustive
+        intact = path.read_text()
+        with path.open("a") as fh:
+            fh.write("11 1,2,1,1 5")
+        fresh = search_minimal(SearchConfig(n=3, k=3))
+        assert search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path)) == fresh
+        assert path.read_text().startswith(intact)
+        # the records appended after the cut tail load cleanly
+        assert search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path)) == fresh
+
+    def test_malformed_inner_line_rejected(self, tmp_path):
+        path = tmp_path / "scan.ckpt"
+        search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path))
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) > 3
+        lines.insert(2, "11 1,2,3\n")
+        path.write_text("".join(lines))
+        with pytest.raises(DomainError):
+            search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path))
 
     def test_verify_shares_find_checkpoint(self, tmp_path):
         path = tmp_path / "scan.ckpt"

@@ -1,0 +1,88 @@
+"""The reverse-direction engine against a plain forward scan and the residue lemma."""
+
+import functools
+
+import pytest
+
+from crucialis.cruciality import is_crucial
+from crucialis.powers import suffix_abelian_power
+from crucialis.search import (
+    EnumerateAllCrucialAtLength,
+    SearchConfig,
+    VerifyNoneBelow,
+    enumerate_crucial,
+    search_minimal,
+    verify_none_below,
+)
+from crucialis.words import Word
+
+import forward_search
+from test_search import KNOWN_MINIMA
+
+MINIMA_CELLS = [(n, k) for n, k, _, _ in KNOWN_MINIMA] + [(2, 4), (2, 5)]
+ENUM_CELLS = [(2, 3), (3, 2), (3, 3), (2, 4)]
+ENUM_LENGTHS = range(1, 12)
+
+
+@functools.cache
+def oracle_words(n, k, L, reduction=True):
+    return forward_search.crucial_words(n, k, L, reduction)
+
+
+@functools.cache
+def oracle_minimal(n, k):
+    return forward_search.minimal(n, k, 20)
+
+
+@pytest.mark.parametrize("n,k", MINIMA_CELLS)
+@pytest.mark.parametrize("reduction", [True, False])
+def test_minimum_matches_forward_scan(n, k, reduction):
+    length, witness, _ = oracle_minimal(n, k)
+    result = search_minimal(SearchConfig(n=n, k=k, symmetry_reduction=reduction))
+    assert result.exhaustive
+    assert result.minimal_length == length
+    assert result.witness.letters == witness
+    assert result.crucial_words_found == len(oracle_words(n, k, length, reduction))
+
+
+@pytest.mark.parametrize("n,k", MINIMA_CELLS)
+def test_verify_matches_forward_scan(n, k):
+    length, witness, count = oracle_minimal(n, k)
+    for limit in range(1, length + 3):
+        result = verify_none_below(SearchConfig(n=n, k=k, target_mode=VerifyNoneBelow(limit)))
+        assert result.exhaustive
+        if limit <= length:
+            assert (result.minimal_length, result.witness) == (None, None), limit
+            assert result.crucial_words_found == 0
+        else:
+            assert result.minimal_length == length
+            assert result.witness.letters == witness
+            assert result.crucial_words_found == count
+
+
+@pytest.mark.parametrize("n,k", ENUM_CELLS)
+@pytest.mark.parametrize("reduction", [True, False])
+def test_enumeration_matches_forward_scan(n, k, reduction):
+    for L in ENUM_LENGTHS:
+        cfg = SearchConfig(
+            n=n, k=k, target_mode=EnumerateAllCrucialAtLength(L), symmetry_reduction=reduction
+        )
+        got = [w.letters for w in enumerate_crucial(cfg)]
+        assert got == oracle_words(n, k, L, reduction), L
+
+
+@pytest.mark.parametrize("n,k", ENUM_CELLS + [(2, 5)])
+def test_longest_completing_suffix_is_crucial_residue_word(n, k):
+    """For each crucial W and letter x let D_x be the shortest suffix with D_x.x
+    an abelian k-th power. The longest D_x is crucial and has length k-1 (mod k)."""
+    checked = 0
+    for L in range(1, 15):
+        for letters in oracle_words(n, k, L):
+            w = Word(letters, n)
+            longest = max(
+                k * suffix_abelian_power(w.append(x), k) - 1 for x in range(1, n + 1)
+            )
+            assert longest % k == k - 1
+            assert is_crucial(Word(letters[L - longest :], n), k)
+            checked += 1
+    assert checked > 0
