@@ -5,9 +5,7 @@ Run: python3 demos/build_families.py
 
 from crucialis import (
     construct_D,
-    construct_E,
     construct_W,
-    construct_doubling_cube,
     construct_doubling_k,
     construct_zimin,
     greedy_length,
@@ -29,9 +27,9 @@ def main():
     for n, k in [(2, 3), (3, 3), (2, 4)]:
         show(f"Z_{n}^{k}", construct_zimin(n, k), k**n - 1)
 
-    print("\nLetter-doubling words for cubes (length 3*2^(n-1) - 1):")
+    print("\nLetter-doubling words for cubes, generalized doubling at k = 3 (length 3*2^(n-1) - 1):")
     for n in range(1, 6):
-        show(f"X_{n}", construct_doubling_cube(n), 3 * 2 ** (n - 1) - 1)
+        show(f"X_{n}", construct_doubling_k(n, 3), 3 * 2 ** (n - 1) - 1)
 
     print("\nGeneralized doubling (length k(k-1)^(n-1) - 1):")
     for n, k in [(3, 4), (4, 4), (3, 5)]:
@@ -41,9 +39,9 @@ def main():
     for n in range(4, 8):
         show(f"W_{n}", construct_W(n), 9 * n - 10)
 
-    print("\nShorter three-block cube words, length 9n - 13 (minimal for n >= 5):")
+    print("\nShorter three-block cube words, the k-block family at k = 3, length 9n - 13 (minimal for n >= 5):")
     for n in range(4, 8):
-        show(f"E_{n}", construct_E(n), 9 * n - 13)
+        show(f"E_{n}", construct_D(n, 3), 9 * n - 13)
 
     print("\nTwo-block square words, length 4n - 7 (minimal for n >= 3):")
     for n in range(4, 8):

@@ -5,7 +5,7 @@ Run: python3 demos/chain_anatomy.py
 
 from crucialis import (
     OccurrenceProfile,
-    construct_E,
+    construct_D,
     decompose,
     is_crucial,
     is_maximal,
@@ -32,7 +32,7 @@ def dissect(text, k):
 def main():
     dissect("21211", 3)
     print()
-    dissect(str(construct_E(4)), 3)
+    dissect(str(construct_D(4, 3)), 3)
 
     print("\nLetters must be named so the suffix chain nests; normalize() fixes naming:")
     w = parse_word("12122")
@@ -41,7 +41,7 @@ def main():
 
     print("\nOccurrence profiles count letters, last letter first:")
     for n in (5, 8, 12):
-        p = occurrence_profile(construct_E(n))
+        p = occurrence_profile(construct_D(n, 3))  # E_n
         print(f"  E_{n}: {p}  violations: {profile_violations(p) or 'none'}")
 
     print("\nProfiles that no minimal crucial-for-cubes word can have:")

@@ -14,9 +14,7 @@ from .constructions import (
     FamilyId,
     bounds,
     construct_D,
-    construct_E,
     construct_W,
-    construct_doubling_cube,
     construct_doubling_k,
     construct_family,
     construct_zimin,
@@ -62,7 +60,6 @@ from .search import (
     SearchConfig,
     SearchResult,
     VerifyNoneBelow,
-    double_check_witness,
     enumerate_crucial,
     search_minimal,
     verify_none_below,
@@ -70,7 +67,6 @@ from .search import (
 from .words import (
     EMPTY_WORD,
     MAX_ALPHABET,
-    ParikhTable,
     Word,
     WordFormat,
     parikh,
@@ -102,7 +98,6 @@ __all__ = [
     "NonNestedError",
     "NotCrucialError",
     "OccurrenceProfile",
-    "ParikhTable",
     "ParseError",
     "PowerOccurrence",
     "SearchConfig",
@@ -114,14 +109,11 @@ __all__ = [
     "WordFormat",
     "bounds",
     "construct_D",
-    "construct_E",
     "construct_W",
-    "construct_doubling_cube",
     "construct_doubling_k",
     "construct_family",
     "construct_zimin",
     "decompose",
-    "double_check_witness",
     "enumerate_crucial",
     "family_exponent",
     "find_abelian_power",

@@ -4,13 +4,14 @@ Each constructor returns a crucial word over {1..n} for its exponent, built
 by the recipe that proves the corresponding length bound:
 
 - zimin / zimink: X_i = (X_{i-1} i)^{k-1} X_{i-1}, length k^n - 1.
-- doubling (exponent 3) and its generalisation doublingk (exponent k >= 3):
-  grow from 1^{k-1} by bumping every letter and re-inserting ones,
-  length k (k-1)^{n-1} - 1.
+- doublingk (exponent k >= 3): grow from 1^{k-1} by bumping every letter
+  and re-inserting ones, length k (k-1)^{n-1} - 1; doubling is its k = 3
+  member, length 3 * 2^{n-1} - 1.
 - wn (exponent 3, length 9n - 10) and the recursion wnk lifting it to any
   exponent k >= 3 with length k^2 (n-1) - 1.
-- dn (exponent 2, length 4n - 7), en (exponent 3, length 9n - 13) and the
-  recursion dnk lifting dn to any exponent with length k^2 (n-1) - k - 1.
+- dnk: the recursion lifting the exponent-2 base to any exponent, length
+  k^2 (n-1) - k - 1. dn (4n - 7) and en (9n - 13) are its k = 2 and k = 3
+  members.
 - smallopt: stored minimal-length words for exponent 3 over 1..4 letters.
 
 bounds(n, k) combines the known lower bounds with the best constructed upper
@@ -20,7 +21,6 @@ bound and reports the exact minimal length where it is settled.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass
 
 from .errors import CapacityError, DomainError
@@ -28,23 +28,10 @@ from .words import Word
 
 DEFAULT_LENGTH_CAP = 1_000_000
 
-# opt-in O(L^2) self-verification of every constructed word
-_SELFCHECK = os.environ.get("CRUCIALIS_SELFCHECK", "") == "1"
-
 
 def _guard_length(length: int, length_cap: int) -> None:
     if length > length_cap:
         raise CapacityError(f"construction length {length} exceeds cap {length_cap}")
-
-
-def _finish(letters: list[int] | tuple[int, ...], n: int, k: int) -> Word:
-    w = Word(tuple(letters), n)
-    if _SELFCHECK:
-        from .cruciality import is_crucial
-
-        if not is_crucial(w, k):
-            raise AssertionError(f"constructed word is not crucial for k={k}: {w}")
-    return w
 
 
 def construct_zimin(n: int, k: int = 2, length_cap: int = DEFAULT_LENGTH_CAP) -> Word:
@@ -57,26 +44,7 @@ def construct_zimin(n: int, k: int = 2, length_cap: int = DEFAULT_LENGTH_CAP) ->
     word: list[int] = [1] * (k - 1)
     for i in range(2, n + 1):
         word = (word + [i]) * (k - 1) + word
-    return _finish(word, n, k)
-
-
-def construct_doubling_cube(n: int, length_cap: int = DEFAULT_LENGTH_CAP) -> Word:
-    """Exponent-3 family of length 3 * 2^{n-1} - 1 grown by letter doubling.
-
-    Start from 11. Each step bumps every letter by one, inserts a 1 after
-    each, and appends one extra trailing 1.
-    """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    _guard_length(3 * 2 ** (n - 1) - 1, length_cap)
-    word = [1, 1]
-    for _ in range(2, n + 1):
-        nxt: list[int] = []
-        for a in word:
-            nxt.extend((a + 1, 1))
-        nxt.append(1)
-        word = nxt
-    return _finish(word, n, 3)
+    return Word(tuple(word), n)
 
 
 def construct_doubling_k(n: int, k: int, length_cap: int = DEFAULT_LENGTH_CAP) -> Word:
@@ -101,7 +69,7 @@ def construct_doubling_k(n: int, k: int, length_cap: int = DEFAULT_LENGTH_CAP) -
             if pos >= last:
                 nxt.append(1)
         word = nxt
-    return _finish(word, n, k)
+    return Word(tuple(word), n)
 
 
 def _blocks_w3(n: int) -> list[list[int]]:
@@ -155,7 +123,7 @@ def construct_W(n: int, k: int = 3, length_cap: int = DEFAULT_LENGTH_CAP) -> Wor
         grown = [_dup_rightmost(b, dup) for b in blocks]
         blocks = [grown[0], second] + grown[1:]
     word = [a for b in blocks for a in b]
-    return _finish(word, n, k)
+    return Word(tuple(word), n)
 
 
 def _blocks_d2(n: int) -> list[list[int]]:
@@ -177,7 +145,8 @@ def construct_D(n: int, k: int = 2, length_cap: int = DEFAULT_LENGTH_CAP) -> Wor
     of k duplicates the rightmost occurrence of every letter other than 2
     inside each block, splices in a fresh second block (a copy of the old
     first block followed by 1 then 3..n), and, when the last block still
-    lacks the letter n, inserts n just before its leftmost 1.
+    lacks the letter n, inserts n just before its leftmost 1. At k = 3 this
+    is the cube family en, of length 9n - 13.
     """
     if n < 4:
         raise DomainError(f"need n >= 4, got {n}")
@@ -193,33 +162,7 @@ def construct_D(n: int, k: int = 2, length_cap: int = DEFAULT_LENGTH_CAP) -> Wor
             grown[-1].insert(grown[-1].index(1), n)
         blocks = [grown[0], second] + grown[1:]
     word = [a for b in blocks for a in b]
-    return _finish(word, n, k)
-
-
-def construct_E(n: int, length_cap: int = DEFAULT_LENGTH_CAP) -> Word:
-    """Exponent-3 word of length 9n - 13 over n >= 4 letters, built directly.
-
-    Coincides with construct_D(n, 3); the direct blocks double as a cross
-    check of the recursion.
-    """
-    if n < 4:
-        raise DomainError(f"need n >= 4, got {n}")
-    _guard_length(9 * n - 13, length_cap)
-    b1: list[int] = []
-    for i in range(n - 1, 1, -1):
-        b1.extend((i, i + 1, i + 1))
-    b1.extend((1, 1))
-    b2: list[int] = []
-    for i in range(n - 1, 1, -1):
-        b2.extend((i, i + 1))
-    b2.extend((1, 1))
-    b2.extend(range(3, n + 1))
-    b3: list[int] = list(range(n - 1, 1, -1))
-    for x in range(3, n):
-        b3.extend((x, x))
-    b3.append(n)
-    b3.extend((1, 1))
-    return _finish(b1 + b2 + b3, n, 3)
+    return Word(tuple(word), n)
 
 
 _OPTIMAL_SMALL = {
@@ -268,12 +211,12 @@ class FamilyId(enum.Enum):
 _FAMILY_TABLE = {
     FamilyId.ZIMIN: (2, lambda n, k: construct_zimin(n, 2)),
     FamilyId.ZIMIN_K: (None, lambda n, k: construct_zimin(n, k)),
-    FamilyId.DOUBLING: (3, lambda n, k: construct_doubling_cube(n)),
+    FamilyId.DOUBLING: (3, lambda n, k: construct_doubling_k(n, 3)),
     FamilyId.DOUBLING_K: (None, lambda n, k: construct_doubling_k(n, k)),
     FamilyId.WN: (3, lambda n, k: construct_W(n, 3)),
     FamilyId.WN_K: (None, lambda n, k: construct_W(n, k)),
     FamilyId.DN: (2, lambda n, k: construct_D(n, 2)),
-    FamilyId.EN: (3, lambda n, k: construct_E(n)),
+    FamilyId.EN: (3, lambda n, k: construct_D(n, 3)),
     FamilyId.DN_K: (None, lambda n, k: construct_D(n, k)),
     FamilyId.SMALLOPT: (3, lambda n, k: optimal_small_word(n)),
 }

@@ -26,8 +26,9 @@ from .errors import (
     NonNestedError,
     NotCrucialError,
 )
-from .powers import is_abelian_power_free, suffix_abelian_power
-from .words import Word
+from .powers import _suffix_power_from_prefixes, is_abelian_power_free
+from .powers import suffix_abelian_power  # noqa: F401  (kept importable here; perfbench traces it)
+from .words import Word, packed_prefixes
 
 
 def _require_candidate(w: Word, k: int) -> None:
@@ -37,15 +38,25 @@ def _require_candidate(w: Word, k: int) -> None:
         raise DomainError("the empty word is never a crucial-word candidate")
 
 
+def _completions(w: Word, k: int) -> list[int | None]:
+    """b_x for each letter x: the least b such that w.x ends in an abelian
+    k-th power with blocks of length b, or None if there is no such b.
+
+    The prefixes of w.x are packed once; only the last one changes with x.
+    """
+    m = len(w)
+    p, shift = packed_prefixes(w.letters + (1,))
+    out = []
+    for x in range(1, w.alphabet_size + 1):
+        p[m + 1] = p[m] + (1 << ((x - 1) * shift))
+        out.append(_suffix_power_from_prefixes(p, m + 1, k))
+    return out
+
+
 def is_crucial(w: Word, k: int) -> bool:
     """True iff w is abelian-k-power-free and every letter extension is not."""
     _require_candidate(w, k)
-    if not is_abelian_power_free(w, k):
-        return False
-    for x in range(1, w.alphabet_size + 1):
-        if suffix_abelian_power(w.append(x), k) is None:
-            return False
-    return True
+    return is_abelian_power_free(w, k) and None not in _completions(w, k)
 
 
 def is_maximal(w: Word, k: int) -> bool:
@@ -56,15 +67,11 @@ def is_maximal(w: Word, k: int) -> bool:
     exactly when reverse(w).x has one as a suffix.
     """
     _require_candidate(w, k)
-    if not is_abelian_power_free(w, k):
-        return False
-    rev = w.reversed()
-    for x in range(1, w.alphabet_size + 1):
-        if suffix_abelian_power(w.append(x), k) is None:
-            return False
-        if suffix_abelian_power(rev.append(x), k) is None:
-            return False
-    return True
+    return (
+        is_abelian_power_free(w, k)
+        and None not in _completions(w, k)
+        and None not in _completions(w.reversed(), k)
+    )
 
 
 @dataclass(frozen=True)
@@ -90,15 +97,13 @@ class CrucialDecomposition:
         return Word(self.word.letters[m - self.delta_lengths[i - 1] :], self.word.alphabet_size)
 
 
-def _suffix_block_lengths(w: Word, k: int) -> list[int]:
-    """b_x for each letter x: the minimal block length completing w.x."""
-    out = []
-    for x in range(1, w.alphabet_size + 1):
-        b = suffix_abelian_power(w.append(x), k)
-        if b is None:
-            raise NotCrucialError(f"appending {x} creates no abelian {k}-power suffix")
-        out.append(b)
-    return out
+def _crucial_block_lengths(w: Word, k: int, caller: str) -> list[int]:
+    """The completions of w, which must be crucial (NotCrucialError otherwise)."""
+    _require_candidate(w, k)
+    bs = _completions(w, k) if is_abelian_power_free(w, k) else None
+    if bs is None or None in bs:
+        raise NotCrucialError(f"{caller} is only defined for crucial words")
+    return bs
 
 
 def _rank_by_block_length(bs: list[int]) -> tuple[int, ...]:
@@ -127,11 +132,9 @@ def decompose(w: Word, k: int) -> CrucialDecomposition:
     word, which holds for minimal crucial words but can fail for longer ones
     (IncompleteChainError).
     """
-    if not is_crucial(w, k):
-        raise NotCrucialError("decompose is only defined for crucial words")
+    bs = _crucial_block_lengths(w, k, "decompose")
     n = w.alphabet_size
     m = len(w)
-    bs = _suffix_block_lengths(w, k)
     lengths = [k * b - 1 for b in bs]
     for i in range(n - 1):
         if lengths[i] == lengths[i + 1]:
@@ -169,9 +172,7 @@ def normalize(w: Word, k: int) -> tuple[Word, tuple[int, ...]]:
     letter x. Words already in chain order come back unchanged with the
     identity renaming.
     """
-    if not is_crucial(w, k):
-        raise NotCrucialError("normalize is only defined for crucial words")
-    bs = _suffix_block_lengths(w, k)
+    bs = _crucial_block_lengths(w, k, "normalize")
     perm = _rank_by_block_length(bs)
     renamed = Word(tuple(perm[a - 1] for a in w.letters), w.alphabet_size)
     return renamed, perm

@@ -45,22 +45,12 @@ def find_abelian_power(
     skip_trivial ignores single-letter blocks (b = 1).
     """
     _require_exponent(k)
-    m = len(w)
-    if m < k:
-        return None
     p, _ = packed_prefixes(w.letters)
-    b_lo = 2 if skip_trivial else 1
-    for end in range(k * b_lo, m + 1):
-        pe = p[end]
-        for b in range(b_lo, end // k + 1):
-            first = pe - p[end - b]
-            j = 2
-            while j <= k:
-                if p[end - (j - 1) * b] - p[end - j * b] != first:
-                    break
-                j += 1
-            else:
-                return PowerOccurrence(end - k * b, b, k)
+    lo = 2 if skip_trivial else 1
+    for end in range(k * lo, len(w) + 1):
+        b = _suffix_power_from_prefixes(p, end, k, lo)
+        if b is not None:
+            return PowerOccurrence(end - k * b, b, k)
     return None
 
 
@@ -71,17 +61,19 @@ def is_abelian_power_free(w: Word, k: int) -> bool:
 def suffix_abelian_power(w: Word, k: int) -> int | None:
     """Smallest b such that the length-k*b suffix is an abelian k-th power."""
     _require_exponent(k)
-    m = len(w)
-    if m < k:
-        return None
     p, _ = packed_prefixes(w.letters)
-    return _suffix_power_from_prefixes(p, m, k)
+    return _suffix_power_from_prefixes(p, len(w), k)
 
 
-def _suffix_power_from_prefixes(p: list[int], end: int, k: int) -> int | None:
-    # shared inner loop; p must cover positions 0..end
+def _suffix_power_from_prefixes(p: list[int], end: int, k: int, lo: int = 1) -> int | None:
+    """Smallest b >= lo with the factor (end - k*b, end] an abelian k-th power.
+
+    p holds packed prefix Parikh vectors (see packed_prefixes) and is read at
+    positions 0..end only. This is the one suffix-power loop: the detectors
+    here and the search engine's freeness cut all call it.
+    """
     pe = p[end]
-    for b in range(1, end // k + 1):
+    for b in range(lo, end // k + 1):
         first = pe - p[end - b]
         j = 2
         while j <= k:

@@ -56,13 +56,14 @@ the workers still running are terminated rather than waited for.
 
 Node budgets are enforced deterministically: each branch runs under the full
 budget as a hard cap, and the driver stops consuming once the running total
-crosses the budget. Time budgets are a wall-clock safety net and are the one
-knob that trades determinism for protection. A budget that trips downgrades
-the result to exhaustive=False rather than raising. A trip at the length that
-carries hits keeps the proven minimal length and the least hit seen so far,
-still with exhaustive=False. Enumeration sorts its words only once the whole
-length is scanned, so a trip there raises BudgetExhaustedError without
-yielding any word.
+exceeds the budget, so a scan that completes within B nodes is proven. Time
+budgets are a wall-clock safety net and are the one knob that trades
+determinism for protection. A budget that trips downgrades the result to
+exhaustive=False rather than raising. A trip at the length that carries hits
+keeps the proven minimal length and the least hit seen so far, still with
+exhaustive=False. Enumeration sorts its words only once the whole length is
+scanned, so a trip there raises BudgetExhaustedError without yielding any
+word.
 
 Checkpoint files make long scans resumable. The file starts with a header
 line recording the format version, n, k, reduction flag and branch depth,
@@ -83,14 +84,13 @@ from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 from typing import Iterator, Union
 
-from .cruciality import is_crucial
 from .errors import BudgetExhaustedError, DomainError
-from .words import MAX_ALPHABET, Word
+from .powers import _suffix_power_from_prefixes
+from .words import _SHIFT, MAX_ALPHABET, Word
 
 DEFAULT_MAX_LENGTH = 40
 _BRANCH_DEPTH = 4
 _TIME_CHECK_MASK = 0xFFF  # poll the deadline every 4096 node expansions
-_SHIFT = 16  # per-letter lane width in packed Parikh prefixes
 
 
 @dataclass(frozen=True)
@@ -226,15 +226,14 @@ def _walk(
         pm = P[m]
         for a in range(1, (min(seen + 1, n) if reduction else n) + 1):
             nodes += 1
-            if node_cap is not None and nodes >= node_cap:
+            if node_cap is not None and nodes > node_cap:
                 tripped = True
                 return
             if deadline is not None and nodes & _TIME_CHECK_MASK == 0:
                 if time.monotonic() > deadline:
                     tripped = True
                     return
-            pa = pm + unit[a]
-            P[t] = pa
+            P[t] = pm + unit[a]
             d, u = done, left
             if slot:
                 x = _completed(P, t, k, letter_of)
@@ -243,18 +242,8 @@ def _walk(
                     u -= 1
             if u > room:
                 continue  # too few completion slots left
-            # reject extensions ending in an abelian k-th power
-            bad = False
-            for b in range(1, t // k + 1):
-                first = pa - P[t - b]
-                j = 2
-                while j <= k and P[t - (j - 1) * b] - P[t - j * b] == first:
-                    j += 1
-                if j > k:
-                    bad = True
-                    break
-            if bad:
-                continue
+            if _suffix_power_from_prefixes(P, t, k) is not None:
+                continue  # the extension ends in an abelian k-th power
             word[m] = a
             dfs(t, max(seen, a), d, u)
             if tripped:
@@ -407,7 +396,7 @@ def _deadline(cfg: SearchConfig) -> float | None:
 
 
 def _over_budget(cfg: SearchConfig, state: _ScanState) -> bool:
-    return cfg.node_budget is not None and state.nodes >= cfg.node_budget
+    return cfg.node_budget is not None and state.nodes > cfg.node_budget
 
 
 def _scan_length(
@@ -547,12 +536,3 @@ def enumerate_crucial(cfg: SearchConfig) -> Iterator[Word]:
         raise BudgetExhaustedError(f"budget exhausted after {state.nodes} nodes")
     for letters in sorted(state.keep):
         yield Word(letters, cfg.n)
-
-
-def double_check_witness(w: Word, k: int) -> bool:
-    """Independent confirmation that a search witness is crucial.
-
-    Routes through the plain cruciality predicate rather than the packed
-    scanner, so the two implementations cross-validate each other.
-    """
-    return is_crucial(w, k)

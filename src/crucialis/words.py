@@ -13,11 +13,10 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .errors import DomainError, FormatError, ParseError
 
 MAX_ALPHABET = 64
+_SHIFT = 16  # per-letter lane width in packed Parikh prefixes
 
 
 class WordFormat(enum.Enum):
@@ -79,35 +78,6 @@ def word(letters: Iterable[int], alphabet_size: int | None = None) -> Word:
 EMPTY_WORD = Word((), 1)
 
 
-class ParikhTable:
-    """Prefix letter-count table.
-
-    counts[i][c-1] is the number of occurrences of letter c in the length-i
-    prefix, so the Parikh vector of the factor (i, j] is counts[j] - counts[i].
-    """
-
-    def __init__(self, w: Word):
-        n = w.alphabet_size
-        length = len(w)
-        counts = np.zeros((length + 1, n), dtype=np.int64)
-        if length:
-            hot = np.zeros((length, n), dtype=np.int64)
-            hot[np.arange(length), np.asarray(w.letters) - 1] = 1
-            np.cumsum(hot, axis=0, out=counts[1:])
-        self.counts = counts
-        self.word = w
-
-    def vector(self, start: int, end: int) -> np.ndarray:
-        self._check_range(start, end)
-        return self.counts[end] - self.counts[start]
-
-    def _check_range(self, start: int, end: int) -> None:
-        if not 0 <= start <= end <= len(self.word):
-            raise IndexError(
-                f"factor range ({start}, {end}] invalid for length {len(self.word)}"
-            )
-
-
 def parikh(w: Word, start: int, end: int) -> tuple[int, ...]:
     """Parikh vector of the factor (start, end] as a plain tuple."""
     if not 0 <= start <= end <= len(w):
@@ -121,13 +91,13 @@ def parikh(w: Word, start: int, end: int) -> tuple[int, ...]:
 def packed_prefixes(letters: Sequence[int], shift: int | None = None) -> tuple[list[int], int]:
     """Prefix Parikh vectors packed into single integers, one lane per letter.
 
-    Lane width defaults to 16 bits, which is collision-free for words up to
-    65535 letters; longer words get 32-bit lanes. Returns (prefixes, shift)
-    where prefixes[i] encodes the length-i prefix and block comparisons reduce
-    to integer subtraction.
+    Lane width defaults to _SHIFT = 16 bits, which is collision-free for words
+    up to 65535 letters; longer words get lanes twice as wide. Returns
+    (prefixes, shift) where prefixes[i] encodes the length-i prefix and block
+    comparisons reduce to integer subtraction.
     """
     if shift is None:
-        shift = 16 if len(letters) < (1 << 16) else 32
+        shift = _SHIFT if len(letters) < (1 << _SHIFT) else 2 * _SHIFT
     p = 0
     out = [0] * (len(letters) + 1)
     for i, a in enumerate(letters):

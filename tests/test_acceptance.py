@@ -13,11 +13,10 @@ import time
 import pytest
 
 from crucialis.constructions import (
+    FamilyId,
     bounds,
     construct_D,
-    construct_E,
     construct_W,
-    construct_doubling_cube,
     construct_doubling_k,
     construct_family,
     construct_zimin,
@@ -37,7 +36,6 @@ from crucialis.search import (
     EnumerateAllCrucialAtLength,
     SearchConfig,
     VerifyNoneBelow,
-    double_check_witness,
     enumerate_crucial,
     search_minimal,
     verify_none_below,
@@ -50,8 +48,8 @@ KNOWN_WORDS = [
     ("zimin", lambda: construct_zimin(2), "121"),
     ("zimin", lambda: construct_zimin(3), "1213121"),
     ("zimin", lambda: construct_zimin(4), "121312141213121"),
-    ("doubling", lambda: construct_doubling_cube(2), "21211"),
-    ("doubling", lambda: construct_doubling_cube(3), "31213121211"),
+    ("doubling", lambda: construct_family(FamilyId.DOUBLING, 2), "21211"),
+    ("doubling", lambda: construct_family(FamilyId.DOUBLING, 3), "31213121211"),
     ("w", lambda: construct_W(4), "34423312243322143232122334"),
     ("w", lambda: construct_W(5), "45534423312254433221543243212233445"),
     ("w", lambda: construct_W(6), "56645534423312265544332216543254321223344556"),
@@ -60,12 +58,12 @@ KNOWN_WORDS = [
         lambda: construct_W(7),
         "67756645534423312276655443322176543265432122334455667",
     ),
-    ("e", lambda: construct_E(4), "34423311342311343233411"),
-    ("e", lambda: construct_E(5), "45534423311453423113454323344511"),
-    ("e", lambda: construct_E(6), "56645534423311564534231134565432334455611"),
+    ("e", lambda: construct_family(FamilyId.EN, 4), "34423311342311343233411"),
+    ("e", lambda: construct_family(FamilyId.EN, 5), "45534423311453423113454323344511"),
+    ("e", lambda: construct_family(FamilyId.EN, 6), "56645534423311564534231134565432334455611"),
     (
         "e",
-        lambda: construct_E(7),
+        lambda: construct_family(FamilyId.EN, 7),
         "67756645534423311675645342311345676543233445566711",
     ),
     ("d", lambda: construct_D(4), "342313231"),
@@ -125,7 +123,7 @@ def test_length_formulas():
                     assert len(construct_doubling_k(n, k)) == k * (k - 1) ** (n - 1) - 1
             if k**n - 1 <= 1_000_000:
                 assert len(construct_zimin(n, k)) == k**n - 1
-        assert len(construct_E(n)) == 9 * n - 13
+        assert len(construct_family(FamilyId.EN, n)) == 9 * n - 13
         assert len(construct_W(n)) == 9 * n - 10
     assert [greedy_length(n) for n in range(1, 7)] == [2, 5, 11, 20, 38, 65]
     elapsed = time.monotonic() - t0
@@ -179,7 +177,7 @@ def test_routine_exhaustive_minima():
         elapsed = time.monotonic() - t0
         assert result.exhaustive, (n, k)
         assert result.minimal_length == expected, (n, k)
-        assert double_check_witness(result.witness, k)
+        assert is_crucial(result.witness, k)
         assert elapsed < 60.0, (n, k, elapsed)
     assert all(m == 4 * n - 7 for n, k, m in ROUTINE_MINIMA if k == 2 and n >= 3)
     print("ACCEPTANCE exhaustive minima for squares and cubes on small alphabets: PASS")
@@ -205,7 +203,7 @@ def test_exhaustive_minimum_four_letter_cubes(tmp_path):
     assert is_crucial(witness20, 3)
     if result.exhaustive:
         assert result.minimal_length == 20
-        assert double_check_witness(result.witness, 3)
+        assert is_crucial(result.witness, 3)
         print("ACCEPTANCE four-letter cube minimum 20, exhaustive: PASS")
     else:
         # budget tripped: certify the weaker absence claim instead
@@ -235,7 +233,7 @@ SYNTHETIC_VIOLATIONS = [
 def test_profile_structure_of_small_optimal_family():
     t0 = time.monotonic()
     for n in range(5, 13):
-        p = occurrence_profile(construct_E(n))
+        p = occurrence_profile(construct_family(FamilyId.EN, n))
         assert p.a0 == 5
         assert p.rest == (3, 6) + (9,) * (n - 3)
         assert profile_violations(p) == []

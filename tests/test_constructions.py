@@ -7,9 +7,7 @@ from crucialis.constructions import (
     FamilyId,
     bounds,
     construct_D,
-    construct_E,
     construct_W,
-    construct_doubling_cube,
     construct_doubling_k,
     construct_family,
     construct_zimin,
@@ -21,6 +19,8 @@ from crucialis.cruciality import is_crucial
 from crucialis.errors import CapacityError, DomainError
 from crucialis.powers import find_abelian_power
 from crucialis.words import parse_word, render_word
+
+import direct_families
 
 ZIMIN_SQUARE = {
     1: "1",
@@ -111,15 +111,15 @@ class TestZimin:
 class TestDoubling:
     @pytest.mark.parametrize("n,text", sorted(DOUBLING_CUBE.items()))
     def test_cube_words(self, n, text):
-        assert str(construct_doubling_cube(n)) == text
+        assert str(direct_families.construct_doubling_cube(n)) == text
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_cube_length(self, n):
-        assert len(construct_doubling_cube(n)) == 3 * 2 ** (n - 1) - 1
+        assert len(construct_family(FamilyId.DOUBLING, n)) == 3 * 2 ** (n - 1) - 1
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_general_form_specializes_to_cube(self, n):
-        assert construct_doubling_k(n, 3) == construct_doubling_cube(n)
+        assert construct_doubling_k(n, 3) == direct_families.construct_doubling_cube(n)
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("k", range(3, 7))
@@ -136,7 +136,7 @@ class TestDoubling:
         with pytest.raises(DomainError):
             construct_doubling_k(3, 2)
         with pytest.raises(DomainError):
-            construct_doubling_cube(0)
+            construct_family(FamilyId.DOUBLING, 0)
 
 
 class TestWFamily:
@@ -172,23 +172,23 @@ class TestWFamily:
 class TestEFamily:
     @pytest.mark.parametrize("n,text", sorted(E_WORDS.items()))
     def test_words(self, n, text):
-        assert str(construct_E(n)) == text
+        assert str(direct_families.construct_E(n)) == text
 
     @pytest.mark.parametrize("n", range(4, 13))
     def test_length(self, n):
-        assert len(construct_E(n)) == 9 * n - 13
+        assert len(construct_family(FamilyId.EN, n)) == 9 * n - 13
 
     @pytest.mark.parametrize("n", range(4, 13))
     def test_matches_general_d_at_cube(self, n):
-        assert construct_E(n) == construct_D(n, 3)
+        assert direct_families.construct_E(n) == construct_D(n, 3)
 
     @pytest.mark.parametrize("n", range(4, 8))
     def test_crucial(self, n):
-        assert is_crucial(construct_E(n), 3)
+        assert is_crucial(construct_family(FamilyId.EN, n), 3)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            construct_E(3)
+            construct_family(FamilyId.EN, 3)
 
 
 class TestDFamily:
@@ -269,7 +269,7 @@ class TestFamilyDispatch:
     def test_fixed_family_accepts_matching_k(self):
         assert construct_family(FamilyId.ZIMIN, 3) == construct_zimin(3)
         assert construct_family(FamilyId.ZIMIN, 3, k=2) == construct_zimin(3)
-        assert construct_family(FamilyId.EN, 5, k=3) == construct_E(5)
+        assert construct_family(FamilyId.EN, 5, k=3) == direct_families.construct_E(5)
 
     def test_fixed_family_rejects_other_k(self):
         with pytest.raises(DomainError):
@@ -345,9 +345,9 @@ class TestFreeness:
         "builder,k",
         [
             (lambda: construct_zimin(4), 2),
-            (lambda: construct_doubling_cube(4), 3),
+            (lambda: construct_doubling_k(4, 3), 3),
             (lambda: construct_W(6), 3),
-            (lambda: construct_E(7), 3),
+            (lambda: construct_D(7, 3), 3),
             (lambda: construct_D(7), 2),
             (lambda: construct_D(5, 4), 4),
             (lambda: construct_W(4, 5), 5),

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from crucialis.constructions import construct_D, construct_E, construct_W
+from crucialis.constructions import construct_D, construct_W
 from crucialis.cruciality import (
     CrucialDecomposition,
     OccurrenceProfile,
@@ -95,7 +95,7 @@ class TestDecompose:
 
         for w, k in [
             (parse_word("21211"), 3),
-            (construct_E(5), 3),
+            (construct_D(5, 3), 3),
             (construct_D(4, 4), 4),
         ]:
             dec = decompose(w, k)
@@ -107,7 +107,7 @@ class TestDecompose:
     def test_recompose_identity(self):
         for w, k in [
             (parse_word("21211"), 3),
-            (construct_E(6), 3),
+            (construct_D(6, 3), 3),
             (construct_W(5, 4), 4),
             (construct_D(7, 2), 2),
         ]:
@@ -119,8 +119,10 @@ class TestDecompose:
             assert rebuilt == w.letters
 
     def test_not_crucial_rejected(self):
-        with pytest.raises(NotCrucialError):
+        with pytest.raises(NotCrucialError, match="^decompose is only defined for crucial words$"):
             decompose(parse_word("2121"), 3)
+        with pytest.raises(NotCrucialError, match="^decompose is only defined"):
+            decompose(parse_word("1211"), 2)
 
     def test_wrong_naming_rejected(self):
         # 12122 is crucial but letter 1 has the longer suffix
@@ -171,12 +173,14 @@ class TestNormalize:
         assert decompose(renamed, 3).delta_lengths == (2, 5)
 
     def test_not_crucial_rejected(self):
-        with pytest.raises(NotCrucialError):
+        with pytest.raises(NotCrucialError, match="^normalize is only defined for crucial words$"):
             normalize(parse_word("2121"), 3)
+        with pytest.raises(NotCrucialError, match="^normalize is only defined"):
+            normalize(parse_word("1211"), 2)
 
     def test_relabeling_preserves_cruciality(self):
         rng = random.Random(3)
-        base = construct_E(5)
+        base = construct_D(5, 3)
         n = base.alphabet_size
         for _ in range(10):
             perm = list(range(1, n + 1))
@@ -201,7 +205,7 @@ class TestOccurrenceProfile:
         assert p.rest == (3, 6, 9)
 
     def test_e6(self):
-        p = occurrence_profile(construct_E(6))
+        p = occurrence_profile(construct_D(6, 3))
         assert (p.a0, p.rest) == (5, (3, 6, 9, 9, 9))
 
     def test_single_letter(self):

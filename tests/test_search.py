@@ -9,13 +9,13 @@ from pathlib import Path
 import pytest
 
 import crucialis
+from crucialis.cruciality import is_crucial
 from crucialis.errors import BudgetExhaustedError, DomainError
 from crucialis.search import (
     EnumerateAllCrucialAtLength,
     FindMinimalCrucial,
     SearchConfig,
     VerifyNoneBelow,
-    double_check_witness,
     enumerate_crucial,
     _branches,
     search_minimal,
@@ -45,7 +45,7 @@ class TestSearchMinimal:
         assert str(result.witness) == witness
         assert result.exhaustive
         assert result.crucial_words_found >= 1
-        assert double_check_witness(result.witness, k)
+        assert is_crucial(result.witness, k)
 
     def test_two_letter_squares(self):
         result = search_minimal(SearchConfig(n=2, k=2))
@@ -124,7 +124,7 @@ class TestDeterminism:
 
     def test_parallel_budget_trip_stops_running_workers(self, tmp_path):
         # Complete the lengths below 20, then record the first length-20 branch
-        # with a node count that spends the budget. The resumed workers=2 run
+        # with a node count over the budget. The resumed workers=2 run
         # trips on consuming that record while its workers are still scanning
         # the next branches, each of which would run on to the full budget.
         path = tmp_path / "scan.ckpt"
@@ -133,7 +133,7 @@ class TestDeterminism:
         ).exhaustive
         first = _branches(4, 3, 4, 20, True)[0][0]
         with path.open("a") as fh:
-            fh.write(f"20 {','.join(map(str, first))} 10000000 0 -\n")
+            fh.write(f"20 {','.join(map(str, first))} 10000001 0 -\n")
         script = (
             "import sys\n"
             "from crucialis.search import SearchConfig, search_minimal\n"
@@ -162,7 +162,7 @@ class TestEnumerate:
         assert len(set(words)) == len(words)
         assert str(words[0]) == ENUM_3_3_11_FIRST
         assert str(words[-1]) == ENUM_3_3_11_LAST
-        assert all(double_check_witness(w, 3) for w in words)
+        assert all(is_crucial(w, 3) for w in words)
 
     def test_below_minimum_is_empty(self):
         cfg = SearchConfig(n=2, k=3, target_mode=EnumerateAllCrucialAtLength(4))
@@ -233,6 +233,14 @@ class TestBudgets:
         result = search_minimal(SearchConfig(n=3, k=3, node_budget=10**8))
         assert result.exhaustive
         assert result.minimal_length == 11
+
+    def test_budget_is_the_most_nodes_a_proven_scan_may_spend(self):
+        full = search_minimal(SearchConfig(n=3, k=3))
+        assert full.exhaustive and full.nodes_expanded == 1486
+        assert search_minimal(SearchConfig(n=3, k=3, node_budget=1486)) == full
+        short = search_minimal(SearchConfig(n=3, k=3, node_budget=1485))
+        assert not short.exhaustive
+        assert short.minimal_length == 11
 
     def test_time_budget_trips_to_unproven(self):
         result = search_minimal(SearchConfig(n=4, k=3, time_budget=1e-9, max_length=20))
@@ -352,8 +360,9 @@ class TestConfigValidation:
 
 
 class TestDoubleCheckWitness:
+    # a search witness is double-checked by the independent predicate is_crucial
     def test_accepts_crucial(self):
-        assert double_check_witness(parse_word("21211"), 3)
+        assert is_crucial(parse_word("21211"), 3)
 
     def test_rejects_non_crucial(self):
-        assert not double_check_witness(parse_word("2121"), 3)
+        assert not is_crucial(parse_word("2121"), 3)

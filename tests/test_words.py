@@ -1,15 +1,18 @@
 """Word type, Parikh machinery, parsing and rendering."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 
+import crucialis
 from crucialis.errors import DomainError, FormatError, ParseError
 from crucialis.words import (
     EMPTY_WORD,
     MAX_ALPHABET,
-    ParikhTable,
     Word,
     WordFormat,
     packed_prefixes,
@@ -85,19 +88,6 @@ class TestParikh:
         with pytest.raises(IndexError):
             parikh(w, -1, 2)
 
-    def test_table_matches_function(self):
-        rng = np.random.default_rng(7)
-        letters = tuple(int(a) for a in rng.integers(1, 5, size=60))
-        w = Word(letters, 4)
-        table = ParikhTable(w)
-        for start, end in [(0, 60), (5, 5), (17, 41), (59, 60)]:
-            assert tuple(table.vector(start, end)) == parikh(w, start, end)
-
-    def test_table_rejects_bad_range(self):
-        table = ParikhTable(word((1, 2)))
-        with pytest.raises(IndexError):
-            table.vector(2, 1)
-
     def test_packed_prefix_lanes(self):
         p, shift = packed_prefixes((1, 2, 1, 2, 2))
         assert shift == 16
@@ -154,3 +144,14 @@ class TestCorpus:
         assert [w.letters for w in read_corpus(io.StringIO(text))] == [
             w.letters for w in words_in
         ]
+
+
+def test_import_leaves_numpy_out():
+    # the package is pure Python; importing it must not load numpy
+    env = dict(os.environ, PYTHONPATH=str(Path(crucialis.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, crucialis; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
