@@ -46,10 +46,11 @@ def _completions(w: Word, k: int) -> list[int | None]:
     """
     m = len(w)
     p, shift = packed_prefixes(w.letters + (1,))
+    blocks = range(1, (m + 1) // k + 1)
     out = []
     for x in range(1, w.alphabet_size + 1):
         p[m + 1] = p[m] + (1 << ((x - 1) * shift))
-        out.append(_suffix_power_from_prefixes(p, m + 1, k))
+        out.append(_suffix_power_from_prefixes(p, m + 1, k, blocks))
     return out
 
 

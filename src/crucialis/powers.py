@@ -1,16 +1,41 @@
 """Detection of abelian and exact k-th powers in words.
 
 A factor is an abelian k-th power when it splits into k consecutive blocks of
-equal length whose Parikh vectors all agree. Detection walks candidate end
-positions in increasing order with block length increasing inside, so the
-reported occurrence is always the one with the smallest end position, ties
-broken by the smallest block length. That canonical choice is imposed here for
-reproducibility; nothing in the mathematics needs it.
+equal length whose Parikh vectors all agree. Detection reports the occurrence
+with the smallest end position, ties broken by the smallest block length. That
+canonical choice is imposed here for reproducibility; nothing in the
+mathematics needs it.
+
+The scan checks only the (start, end) pairs that can bound a power.
+
+Lemma. If the factor (s, e] is an abelian k-th power, the prefix letter counts
+at s and at e agree mod k, letter by letter, and e = s (mod k). Every letter
+occurs c times in each of the k blocks, so k*c times in the factor; and
+e - s = k*b.
+
+So the scan keys each prefix length i by q_i, its letter counts mod k packed
+one lane per letter (a lane holds less than k, so it cannot overflow). Equal
+keys imply equal lengths mod k as well, since the lanes of q_i sum to i mod k.
+The positions with one key form a chain, latest first. The candidates for an
+end e are the earlier positions on its chain, and only these get the exact
+block check, so a free word costs one key per letter instead of about e/k
+block checks per end. No power is missed, by the lemma. A coarser key (a hash
+of q, say) would stay sound as long as it keeps e mod k: it only adds
+candidates, and the exact check rejects every candidate that is no power. The
+key here is q itself, which keeps the candidates few.
+
+Canonical order. Ends are walked in ascending order and the chain of an end
+is walked latest start first, which is block length b = (e - s)/k ascending.
+The first candidate that passes the exact check is therefore the least
+(end, block length) pair, the same occurrence a scan of every pair reports.
+Exact powers are abelian powers, so find_exact_power walks the same
+candidates and only checks them letter by letter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
 from .words import Word, packed_prefixes
@@ -37,6 +62,39 @@ def _require_exponent(k: int) -> None:
         raise DomainError(f"exponent k must be at least 2, got {k}")
 
 
+def _candidates(
+    letters: Sequence[int], n: int, k: int, lo: int
+) -> Iterator[tuple[int, Iterator[int]]]:
+    """(end, blocks) for each end, ascending, whose prefix counts mod k match
+    an earlier position's; blocks yields the candidate block lengths >= lo in
+    ascending order. Ends with no candidate are skipped."""
+    shift = (k - 1).bit_length()  # lane a of q holds count[a] < k
+    count = [0] * (n + 1)
+    q = 0
+    last = {0: 0}  # q -> latest position with it
+    prev = [-1] * (len(letters) + 1)  # position -> previous one with its q
+    for e, a in enumerate(letters, 1):
+        c = count[a] + 1
+        if c < k:
+            count[a] = c
+            q += 1 << a * shift
+        else:
+            count[a] = 0
+            q -= (k - 1) << a * shift
+        s = prev[e] = last.get(q, -1)
+        last[q] = e
+        if s >= 0:
+            yield e, _chain_blocks(prev, e, s, k, lo)
+
+
+def _chain_blocks(prev: list[int], end: int, s: int, k: int, lo: int) -> Iterator[int]:
+    top = end - k * lo
+    while s >= 0:
+        if s <= top:
+            yield (end - s) // k
+        s = prev[s]
+
+
 def find_abelian_power(
     w: Word, k: int, skip_trivial: bool = False
 ) -> PowerOccurrence | None:
@@ -45,10 +103,11 @@ def find_abelian_power(
     skip_trivial ignores single-letter blocks (b = 1).
     """
     _require_exponent(k)
-    p, _ = packed_prefixes(w.letters)
-    lo = 2 if skip_trivial else 1
-    for end in range(k * lo, len(w) + 1):
-        b = _suffix_power_from_prefixes(p, end, k, lo)
+    p = None  # packed on the first candidate; free words often have none
+    for end, blocks in _candidates(w.letters, w.alphabet_size, k, 2 if skip_trivial else 1):
+        if p is None:
+            p, _ = packed_prefixes(w.letters)
+        b = _suffix_power_from_prefixes(p, end, k, blocks)
         if b is not None:
             return PowerOccurrence(end - k * b, b, k)
     return None
@@ -62,18 +121,23 @@ def suffix_abelian_power(w: Word, k: int) -> int | None:
     """Smallest b such that the length-k*b suffix is an abelian k-th power."""
     _require_exponent(k)
     p, _ = packed_prefixes(w.letters)
-    return _suffix_power_from_prefixes(p, len(w), k)
+    m = len(w)
+    return _suffix_power_from_prefixes(p, m, k, range(1, m // k + 1))
 
 
-def _suffix_power_from_prefixes(p: list[int], end: int, k: int, lo: int = 1) -> int | None:
-    """Smallest b >= lo with the factor (end - k*b, end] an abelian k-th power.
+def _suffix_power_from_prefixes(
+    p: list[int], end: int, k: int, blocks: Iterable[int]
+) -> int | None:
+    """First b in blocks with the factor (end - k*b, end] an abelian k-th power.
 
     p holds packed prefix Parikh vectors (see packed_prefixes) and is read at
-    positions 0..end only. This is the one suffix-power loop: the detectors
-    here and the search engine's freeness cut all call it.
+    positions 0..end only; blocks must lie in 1..end//k. This is the one
+    block-comparison loop: the suffix tests (here, in cruciality and in the
+    search) pass every block length in ascending order, the scan passes the
+    candidates its mod-k filter leaves.
     """
     pe = p[end]
-    for b in range(lo, end // k + 1):
+    for b in blocks:
         first = pe - p[end - b]
         j = 2
         while j <= k:
@@ -90,15 +154,10 @@ def find_exact_power(
 ) -> PowerOccurrence | None:
     """Like find_abelian_power but blocks must match letter for letter."""
     _require_exponent(k)
-    m = len(w)
     letters = w.letters
-    b_lo = 2 if skip_trivial else 1
-    for end in range(k * b_lo, m + 1):
-        for b in range(b_lo, end // k + 1):
+    for end, blocks in _candidates(letters, w.alphabet_size, k, 2 if skip_trivial else 1):
+        for b in blocks:
             start = end - k * b
-            for i in range(start, end - b):
-                if letters[i] != letters[i + b]:
-                    break
-            else:
+            if letters[start : end - b] == letters[start + b : end]:
                 return PowerOccurrence(start, b, k)
     return None

@@ -224,6 +224,7 @@ def _walk(
         slot = (t + 1) % k == 0
         room = slots - (t + 1) // k  # slots left after t
         pm = P[m]
+        blocks = range(1, t // k + 1)
         for a in range(1, (min(seen + 1, n) if reduction else n) + 1):
             nodes += 1
             if node_cap is not None and nodes > node_cap:
@@ -242,7 +243,7 @@ def _walk(
                     u -= 1
             if u > room:
                 continue  # too few completion slots left
-            if _suffix_power_from_prefixes(P, t, k) is not None:
+            if _suffix_power_from_prefixes(P, t, k, blocks) is not None:
                 continue  # the extension ends in an abelian k-th power
             word[m] = a
             dfs(t, max(seen, a), d, u)

@@ -4,8 +4,9 @@ import io
 
 import pytest
 
+from crucialis import cli, powers
 from crucialis.cli import run
-from crucialis.constructions import bounds, construct_family, FamilyId
+from crucialis.constructions import bounds, construct_D, construct_family, FamilyId
 from crucialis.cruciality import is_crucial
 from crucialis.words import WordFormat, parse_word
 
@@ -84,6 +85,25 @@ class TestCheck:
         lines = out.splitlines()
         assert lines[0] == "RESULT: not crucial"
         assert "appending 1" in lines[1]
+
+    def test_not_crucial_scans_freeness_once(self, monkeypatch):
+        scans = []
+        real = powers.find_abelian_power
+
+        def counted(*args, **kwargs):
+            scans.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(powers, "find_abelian_power", counted)
+        monkeypatch.setattr(cli, "find_abelian_power", counted)
+        w = construct_D(40, 5)
+        code, out, _ = invoke(
+            ["check", "--what", "crucial", "--k", "5", "--n", "40", "--spaced",
+             "--word", " ".join(map(str, w.letters[1:]))]
+        )
+        assert code == 1
+        assert out == "RESULT: not crucial\nappending 40 creates no abelian 5-power suffix\n"
+        assert len(scans) == 1
 
     def test_free_verdict(self):
         code, out, _ = invoke(["check", "--what", "free", "--k", "3", "--word", "2121"])
