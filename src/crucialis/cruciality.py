@@ -26,53 +26,36 @@ from .errors import (
     NonNestedError,
     NotCrucialError,
 )
-from .powers import _suffix_power_from_prefixes, is_abelian_power_free
+from .powers import _require_exponent, is_abelian_power_free, prefix_completions
 from .powers import suffix_abelian_power  # noqa: F401  (kept importable here; perfbench traces it)
-from .words import Word, packed_prefixes
-
-
-def _require_candidate(w: Word, k: int) -> None:
-    if k < 2:
-        raise DomainError(f"exponent k must be at least 2, got {k}")
-    if len(w) == 0:
-        raise DomainError("the empty word is never a crucial-word candidate")
+from .words import Word
 
 
 def _completions(w: Word, k: int) -> list[int | None]:
-    """b_x for each letter x: the least b such that w.x ends in an abelian
-    k-th power with blocks of length b, or None if there is no such b.
+    """b_x for each letter x: the least b with w.x ending in an abelian k-th
+    power of block length b (x.reverse(w) starting with one), or None."""
+    return prefix_completions(w.letters[::-1], w.alphabet_size, k)
 
-    The prefixes of w.x are packed once; only the last one changes with x.
-    """
-    m = len(w)
-    p, shift = packed_prefixes(w.letters + (1,))
-    blocks = range(1, (m + 1) // k + 1)
-    out = []
-    for x in range(1, w.alphabet_size + 1):
-        p[m + 1] = p[m] + (1 << ((x - 1) * shift))
-        out.append(_suffix_power_from_prefixes(p, m + 1, k, blocks))
-    return out
+
+def _block_lengths(w: Word, k: int) -> list[int | None] | None:
+    """The completions of the candidate w, or None when w is not free: the
+    checks of every cruciality verdict, in order, with one freeness scan."""
+    _require_exponent(k)
+    if len(w) == 0:
+        raise DomainError("the empty word is never a crucial-word candidate")
+    return _completions(w, k) if is_abelian_power_free(w, k) else None
 
 
 def is_crucial(w: Word, k: int) -> bool:
     """True iff w is abelian-k-power-free and every letter extension is not."""
-    _require_candidate(w, k)
-    return is_abelian_power_free(w, k) and None not in _completions(w, k)
+    bs = _block_lengths(w, k)
+    return bs is not None and None not in bs
 
 
 def is_maximal(w: Word, k: int) -> bool:
-    """True iff w is free but gains a power on appending or prepending any letter.
-
-    The prefix direction reuses the suffix test on the reversed word: abelian
-    equality of blocks survives reversal, so x.w has an abelian power prefix
-    exactly when reverse(w).x has one as a suffix.
-    """
-    _require_candidate(w, k)
-    return (
-        is_abelian_power_free(w, k)
-        and None not in _completions(w, k)
-        and None not in _completions(w.reversed(), k)
-    )
+    """True iff w is free but gains a power on appending or prepending any letter
+    (a power that x.w gains is a prefix, which prefix_completions reads)."""
+    return is_crucial(w, k) and None not in prefix_completions(w.letters, w.alphabet_size, k)
 
 
 @dataclass(frozen=True)
@@ -100,8 +83,7 @@ class CrucialDecomposition:
 
 def _crucial_block_lengths(w: Word, k: int, caller: str) -> list[int]:
     """The completions of w, which must be crucial (NotCrucialError otherwise)."""
-    _require_candidate(w, k)
-    bs = _completions(w, k) if is_abelian_power_free(w, k) else None
+    bs = _block_lengths(w, k)
     if bs is None or None in bs:
         raise NotCrucialError(f"{caller} is only defined for crucial words")
     return bs
@@ -111,9 +93,7 @@ def _rank_by_block_length(bs: list[int]) -> tuple[int, ...]:
     """Renaming that sorts letters by completing-suffix length.
 
     Returns perm with perm[x-1] = new name of letter x. Equal lengths admit no
-    strictly nested chain, so they are rejected. (For genuinely crucial words
-    equal lengths cannot occur: the Parikh vector of the completed block pins
-    down the appended letter. The guard protects against misuse.)
+    strictly nested chain and are rejected; _completions never gives them.
     """
     order = sorted(range(len(bs)), key=lambda i: (bs[i], i))
     for a, b in zip(order, order[1:]):
@@ -138,8 +118,6 @@ def decompose(w: Word, k: int) -> CrucialDecomposition:
     m = len(w)
     lengths = [k * b - 1 for b in bs]
     for i in range(n - 1):
-        if lengths[i] == lengths[i + 1]:
-            raise NonNestedError(i + 1, i + 2)
         if lengths[i] > lengths[i + 1]:
             raise NamingError(
                 f"suffix of letter {i + 1} is longer than that of letter {i + 2}; "
@@ -225,8 +203,7 @@ def profile_violations(p: OccurrenceProfile, k: int = 3) -> ViolationReport:
     rest count divisible by k, a0 congruent to k-1 mod k) and the report
     carries a note saying so.
     """
-    if k < 2:
-        raise DomainError(f"exponent k must be at least 2, got {k}")
+    _require_exponent(k)
     report = ViolationReport()
     if p.a0 % k != k - 1 or any(a % k for a in p.rest):
         report.append(ViolationTag.DIVISIBILITY)

@@ -30,6 +30,16 @@ The first candidate that passes the exact check is therefore the least
 (end, block length) pair, the same occurrence a scan of every pair reports.
 Exact powers are abelian powers, so find_exact_power walks the same
 candidates and only checks them letter by letter.
+
+Completing letters. Letter x completes R with block length b when x.R[0:t],
+t = k*b - 1, is an abelian k-th power; then reverse(R).x ends in one. Let
+P[i] be the letter counts of R[0:i]. Block 1 of the power is x.R[0:b-1] and
+block 2 is R[b-1:2b-1], so the unit vector of x must equal P[2b-1] - 2*P[b-1].
+At most one letter completes at each b: the one that difference names, if
+the remaining blocks match too. Packed, the lanes of that difference lie in
+[-(b-1), b], a range narrower than 2^shift (2b - 1 <= t <= |R|, and
+packed_prefixes widens its lanes to 32 bits from 65,536 letters on), so a
+packed difference equals a unit vector only when the count vectors are equal.
 """
 
 from __future__ import annotations
@@ -132,8 +142,8 @@ def _suffix_power_from_prefixes(
 
     p holds packed prefix Parikh vectors (see packed_prefixes) and is read at
     positions 0..end only; blocks must lie in 1..end//k. This is the one
-    block-comparison loop: the suffix tests (here, in cruciality and in the
-    search) pass every block length in ascending order, the scan passes the
+    block-comparison loop: the suffix tests (here and in the search) pass
+    every block length in ascending order, the scan passes the
     candidates its mod-k filter leaves.
     """
     pe = p[end]
@@ -147,6 +157,40 @@ def _suffix_power_from_prefixes(
         else:
             return b
     return None
+
+
+def _completed(P: list[int], t: int, k: int, letter_of: dict[int, int]) -> int:
+    """The letter x with x.R[0:t] an abelian k-th power, or 0 if none.
+
+    t must be k-1 (mod k); P holds the packed letter counts of R's prefixes.
+    """
+    b = (t + 1) // k
+    block = P[2 * b - 1] - P[b - 1]
+    x = letter_of.get(block - P[b - 1], 0)
+    j = 3
+    while x and j <= k:
+        if P[j * b - 1] - P[(j - 1) * b - 1] != block:
+            return 0
+        j += 1
+    return x
+
+
+def prefix_completions(R: Sequence[int], n: int, k: int) -> list[int | None]:
+    """For each letter x of 1..n, the least b with x.R[0:k*b-1] an abelian
+    k-th power, or None if there is none (see "Completing letters" above)."""
+    P, shift = packed_prefixes(R)
+    letter_of = {1 << (x - 1) * shift: x for x in range(1, n + 1)}
+    return _completions_of(P, len(R), k, letter_of)
+
+
+def _completions_of(P: list[int], m: int, k: int, letter_of: dict[int, int]) -> list[int | None]:
+    """prefix_completions of R[0:m] off P and letter_of, as _completed reads them."""
+    out: list[int | None] = [None] * len(letter_of)
+    for t in range(k - 1, m + 1, k):
+        x = _completed(P, t, k, letter_of)
+        if x and out[x - 1] is None:
+            out[x - 1] = (t + 1) // k
+    return out
 
 
 def find_exact_power(

@@ -22,10 +22,8 @@ length is. Find and verify modes scan only lengths L = k-1 (mod k).
 Enumeration scans the one length it is given.
 
 (b) Completion slots. Letter x can complete only at t = k-1 (mod k), and t
-fixes the block length b = (t+1)/k. Let P[i] be the letter counts of R[0:i].
-Block 1 of the power is x.R[0:b-1] and block 2 is R[b-1:2b-1], so the unit
-vector of x must equal P[2b-1] - 2*P[b-1]. At most one letter completes at
-each t: the one that difference names, if the remaining blocks match too.
+fixes the block length b = (t+1)/k. At most one letter completes at each t,
+the one the letter counts name ("Completing letters" in powers.py).
 Completion at t reads only R[0:t], so a completed letter stays completed as
 the prefix grows. A prefix of length m whose uncompleted letters outnumber
 the slots #{t in (m, L] : t = k-1 (mod k)} cannot grow into a crucial word
@@ -85,6 +83,7 @@ from pathlib import Path
 from typing import Iterator, Union
 
 from .errors import BudgetExhaustedError, DomainError
+from .powers import _completed, _completions_of, _require_exponent
 from .powers import _suffix_power_from_prefixes
 from .words import _SHIFT, MAX_ALPHABET, Word
 
@@ -130,8 +129,7 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_ALPHABET:
             raise DomainError(f"alphabet size must be in 1..{MAX_ALPHABET}, got {self.n}")
-        if self.k < 2:
-            raise DomainError(f"exponent k must be at least 2, got {self.k}")
+        _require_exponent(self.k)
         if not 1 <= self.max_length < (1 << _SHIFT):
             raise DomainError(f"max_length must be in 1..{(1 << _SHIFT) - 1}")
         if self.node_budget is not None and self.node_budget < 1:
@@ -165,22 +163,6 @@ class SearchResult:
     crucial_words_found: int
 
 
-def _completed(P: list[int], t: int, k: int, letter_of: dict[int, int]) -> int:
-    """The letter x with x.R[0:t] an abelian k-th power, or 0 if none.
-
-    t must be k-1 (mod k); P holds the packed letter counts of R's prefixes.
-    """
-    b = (t + 1) // k
-    block = P[2 * b - 1] - P[b - 1]
-    x = letter_of.get(block - P[b - 1], 0)
-    j = 3
-    while x and j <= k:
-        if P[j * b - 1] - P[(j - 1) * b - 1] != block:
-            return 0
-        j += 1
-    return x
-
-
 def _walk(
     n: int,
     k: int,
@@ -206,11 +188,12 @@ def _walk(
     for i, a in enumerate(prefix):
         P[i + 1] = P[i] + unit[a]
     word = list(prefix) + [0] * (L - m0)
-    done = 0
-    for t in range(k - 1, m0 + 1, k):
-        done |= 1 << _completed(P, t, k, letter_of)
-    done &= ~1  # bit x marks letter x completed; bit 0 collected the misses
-    left = n - bin(done).count("1")
+    bs = _completions_of(P, m0, k, letter_of)
+    done = 0  # bit x marks letter x completed
+    for x, b in enumerate(bs, 1):
+        if b:
+            done |= 1 << x
+    left = bs.count(None)
     nodes = 0
     tripped = False
     out: list[tuple[int, ...]] = []
