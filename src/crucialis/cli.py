@@ -24,7 +24,14 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from .constructions import FamilyId, bounds, construct_family, family_exponent
+from .constructions import (
+    DEFAULT_LENGTH_CAP,
+    FamilyId,
+    bounds,
+    construct_family,
+    family_exponent,
+    family_length,
+)
 from .cruciality import (
     _block_lengths,
     decompose,
@@ -300,8 +307,12 @@ def _families_rows(n_range, k_range) -> list[list[str]]:
         k_max = k_range[1] if fixed is None else min(fixed, k_range[1])
         for n in range(max(n_min, n_range[0]), n_max + 1):
             for k in range(max(k_min, k_range[0]), k_max + 1):
-                word = construct_family(family, n, k)
-                rows.append([family.value, str(n), str(k), _show_word(word), str(len(word))])
+                length = family_length(family, n, k)
+                if length > DEFAULT_LENGTH_CAP:
+                    shown = "over-cap"
+                else:
+                    shown = _show_word(construct_family(family, n, k))
+                rows.append([family.value, str(n), str(k), shown, str(length)])
     return rows
 
 

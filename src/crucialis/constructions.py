@@ -34,13 +34,30 @@ def _guard_length(length: int, length_cap: int) -> None:
         raise CapacityError(f"construction length {length} exceeds cap {length_cap}")
 
 
+# length formulas, shared by the constructors' guards, bounds and family_length
+def _zimin_length(n: int, k: int) -> int:
+    return k**n - 1
+
+
+def _doubling_length(n: int, k: int) -> int:
+    return k * (k - 1) ** (n - 1) - 1
+
+
+def _w_length(n: int, k: int) -> int:
+    return k * k * (n - 1) - 1
+
+
+def _d_length(n: int, k: int) -> int:
+    return k * k * (n - 1) - k - 1
+
+
 def construct_zimin(n: int, k: int = 2, length_cap: int = DEFAULT_LENGTH_CAP) -> Word:
     """X_1 = 1^{k-1}, X_i = (X_{i-1} i)^{k-1} X_{i-1}; length k^n - 1."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if k < 2:
         raise DomainError(f"need k >= 2, got {k}")
-    _guard_length(k**n - 1, length_cap)
+    _guard_length(_zimin_length(n, k), length_cap)
     word: list[int] = [1] * (k - 1)
     for i in range(2, n + 1):
         word = (word + [i]) * (k - 1) + word
@@ -58,7 +75,7 @@ def construct_doubling_k(n: int, k: int, length_cap: int = DEFAULT_LENGTH_CAP) -
         raise DomainError(f"need n >= 1, got {n}")
     if k < 3:
         raise DomainError(f"doubling family needs k >= 3, got {k}")
-    _guard_length(k * (k - 1) ** (n - 1) - 1, length_cap)
+    _guard_length(_doubling_length(n, k), length_cap)
     word = [1] * (k - 1)
     for _ in range(2, n + 1):
         nxt: list[int] = []
@@ -115,7 +132,7 @@ def construct_W(n: int, k: int = 3, length_cap: int = DEFAULT_LENGTH_CAP) -> Wor
         raise DomainError(f"need n >= 4, got {n}")
     if k < 3:
         raise DomainError(f"need k >= 3, got {k}")
-    _guard_length(k * k * (n - 1) - 1, length_cap)
+    _guard_length(_w_length(n, k), length_cap)
     blocks = _blocks_w3(n)
     dup = set(range(2, n + 1))
     for _ in range(3, k):
@@ -152,7 +169,7 @@ def construct_D(n: int, k: int = 2, length_cap: int = DEFAULT_LENGTH_CAP) -> Wor
         raise DomainError(f"need n >= 4, got {n}")
     if k < 2:
         raise DomainError(f"need k >= 2, got {k}")
-    _guard_length(k * k * (n - 1) - k - 1, length_cap)
+    _guard_length(_d_length(n, k), length_cap)
     blocks = _blocks_d2(n)
     dup = {1} | set(range(3, n + 1))
     for _ in range(2, k):
@@ -207,18 +224,22 @@ class FamilyId(enum.Enum):
     SMALLOPT = "smallopt"
 
 
-# family -> (fixed exponent or None, builder taking (n, k))
+# family -> (fixed exponent or None, builder taking (n, k), length formula)
 _FAMILY_TABLE = {
-    FamilyId.ZIMIN: (2, lambda n, k: construct_zimin(n, 2)),
-    FamilyId.ZIMIN_K: (None, lambda n, k: construct_zimin(n, k)),
-    FamilyId.DOUBLING: (3, lambda n, k: construct_doubling_k(n, 3)),
-    FamilyId.DOUBLING_K: (None, lambda n, k: construct_doubling_k(n, k)),
-    FamilyId.WN: (3, lambda n, k: construct_W(n, 3)),
-    FamilyId.WN_K: (None, lambda n, k: construct_W(n, k)),
-    FamilyId.DN: (2, lambda n, k: construct_D(n, 2)),
-    FamilyId.EN: (3, lambda n, k: construct_D(n, 3)),
-    FamilyId.DN_K: (None, lambda n, k: construct_D(n, k)),
-    FamilyId.SMALLOPT: (3, lambda n, k: optimal_small_word(n)),
+    FamilyId.ZIMIN: (2, construct_zimin, _zimin_length),
+    FamilyId.ZIMIN_K: (None, construct_zimin, _zimin_length),
+    FamilyId.DOUBLING: (3, construct_doubling_k, _doubling_length),
+    FamilyId.DOUBLING_K: (None, construct_doubling_k, _doubling_length),
+    FamilyId.WN: (3, construct_W, _w_length),
+    FamilyId.WN_K: (None, construct_W, _w_length),
+    FamilyId.DN: (2, construct_D, _d_length),
+    FamilyId.EN: (3, construct_D, _d_length),
+    FamilyId.DN_K: (None, construct_D, _d_length),
+    FamilyId.SMALLOPT: (
+        3,
+        lambda n, k: optimal_small_word(n),
+        lambda n, k: len(optimal_small_word(n)),
+    ),
 }
 
 
@@ -227,20 +248,30 @@ def family_exponent(family: FamilyId) -> int | None:
     return _FAMILY_TABLE[family][0]
 
 
+def _exponent_for(family: FamilyId, k: int | None) -> int:
+    fixed = _FAMILY_TABLE[family][0]
+    if fixed is not None:
+        if k is not None and k != fixed:
+            raise DomainError(f"family {family.value} is fixed to exponent {fixed}, got k={k}")
+        return fixed
+    if k is None:
+        raise DomainError(f"family {family.value} requires an exponent k")
+    return k
+
+
 def construct_family(family: FamilyId, n: int, k: int | None = None) -> Word:
     """Dispatch to the named family's constructor.
 
     Families with a fixed exponent accept k equal to that exponent or omitted;
     parameterised families require k.
     """
-    fixed, builder = _FAMILY_TABLE[family]
-    if fixed is not None:
-        if k is not None and k != fixed:
-            raise DomainError(f"family {family.value} is fixed to exponent {fixed}, got k={k}")
-        return builder(n, fixed)
-    if k is None:
-        raise DomainError(f"family {family.value} requires an exponent k")
-    return builder(n, k)
+    return _FAMILY_TABLE[family][1](n, _exponent_for(family, k))
+
+
+def family_length(family: FamilyId, n: int, k: int | None = None) -> int:
+    """The length of construct_family(family, n, k), by formula: the word is
+    not built, and n, k must lie in the family's domain."""
+    return _FAMILY_TABLE[family][2](n, _exponent_for(family, k))
 
 
 @dataclass(frozen=True)
@@ -272,12 +303,12 @@ def bounds(n: int, k: int) -> Bounds:
 
     candidates: list[tuple[int, FamilyId]] = []
     if n >= 4:
-        candidates.append((k * k * (n - 1) - k - 1, FamilyId.DN_K))
+        candidates.append((_d_length(n, k), FamilyId.DN_K))
     if k == 3 and n <= 4:
         candidates.append((len(_OPTIMAL_SMALL[n]), FamilyId.SMALLOPT))
     if k >= 3:
-        candidates.append((k * (k - 1) ** (n - 1) - 1, FamilyId.DOUBLING_K))
-    candidates.append((k**n - 1, FamilyId.ZIMIN_K))
+        candidates.append((_doubling_length(n, k), FamilyId.DOUBLING_K))
+    candidates.append((_zimin_length(n, k), FamilyId.ZIMIN_K))
     upper, upper_family = candidates[0]
     for length, fam in candidates[1:]:
         if length < upper:

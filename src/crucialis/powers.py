@@ -180,13 +180,8 @@ def prefix_completions(R: Sequence[int], n: int, k: int) -> list[int | None]:
     k-th power, or None if there is none (see "Completing letters" above)."""
     P, shift = packed_prefixes(R)
     letter_of = {1 << (x - 1) * shift: x for x in range(1, n + 1)}
-    return _completions_of(P, len(R), k, letter_of)
-
-
-def _completions_of(P: list[int], m: int, k: int, letter_of: dict[int, int]) -> list[int | None]:
-    """prefix_completions of R[0:m] off P and letter_of, as _completed reads them."""
-    out: list[int | None] = [None] * len(letter_of)
-    for t in range(k - 1, m + 1, k):
+    out: list[int | None] = [None] * n
+    for t in range(k - 1, len(R) + 1, k):
         x = _completed(P, t, k, letter_of)
         if x and out[x - 1] is None:
             out[x - 1] = (t + 1) // k

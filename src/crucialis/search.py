@@ -10,7 +10,7 @@ Letter x is *completed* at t = kb-1 when that holds. W is crucial exactly when
 it is free and every letter is completed at some t <= |W|, because in a free
 word any power that W.x gains is a suffix.
 
-Two cuts follow. Both are sound: neither removes a word that the mode needs.
+Three cuts follow. All are sound: none removes a word that the mode needs.
 
 (a) Length residue. Let W be crucial and, for each letter x, let D_x be the
 shortest suffix of W with D_x.x an abelian k-th power, so k divides |D_x|+1.
@@ -21,14 +21,36 @@ power D_y.y for every y, and D is free as a factor of W. So D is crucial,
 length is. Find and verify modes scan only lengths L = k-1 (mod k).
 Enumeration scans the one length it is given.
 
-(b) Completion slots. Letter x can complete only at t = k-1 (mod k), and t
-fixes the block length b = (t+1)/k. At most one letter completes at each t,
-the one the letter counts name ("Completing letters" in powers.py).
-Completion at t reads only R[0:t], so a completed letter stays completed as
-the prefix grows. A prefix of length m whose uncompleted letters outnumber
-the slots #{t in (m, L] : t = k-1 (mod k)} cannot grow into a crucial word
-of length L, and it is cut. Every leaf that survives has all n letters
-completed, so every leaf reached is crucial and no leaf test is run.
+(b) Completion slots. Letter x can complete only at a slot t = k-1 (mod k),
+and t fixes the block length b = (t+1)/k. At most one letter completes at
+each slot, the one the letter counts name ("Completing letters" in
+powers.py). Completion at t reads only R[0:t], so a completed letter stays
+completed as the prefix grows. A prefix of length m whose uncompleted
+letters outnumber the slots #{t in (m, L] : t = k-1 (mod k)} cannot grow
+into a crucial word of length L. (c) cuts every such prefix.
+
+(c) Determined slots. Let s = kb-1 <= L be a slot after a prefix of length
+m. Once m >= 2b-1, P[b-1] and P[2b-1] are fixed, so only the letter named by
+P[2b-1] - 2*P[b-1] can ever complete at s: the slot is *determined*. The
+blocks j with jb-1 <= m are fixed as well. If one of them (3 <= j < k)
+differs from block 2, nothing can complete at s: the slot is dead. Take a
+crucial word of length L that extends the prefix. Each letter x that the
+prefix leaves uncompleted is completed at a slot in (m, L], a different slot
+for each letter. If that slot is determined, it is live and names x. So the
+uncompleted letters that no live determined slot after m names are completed
+at slots s = kb-1 with 2b-1 > m, and there are max(0, (L+1)//k - (m+1)//2)
+of those. A prefix whose unnamed uncompleted letters outnumber them has no
+crucial extension of length L, and it is cut. At most one letter is named
+per determined slot, so this cut includes the count of (b). At k = 2,
+2b-1 = kb-1: no slot is determined before it is reached, and (c) is the
+count of (b). A leaf of length L has no slot after it, so every leaf that
+survives has all n letters completed. Every leaf reached is crucial, and no
+leaf test is run.
+
+The scan keeps this state along its path. A slot is named at depth 2b-1,
+can die only at the depths jb-1, 3 <= j < k, and leaves the future at depth
+kb-1, where it completes its letter if block k matches too. No other depth
+changes the count, so the cut is tested only at these depths.
 
 Symmetry reduction restricts the scan to canonical R, whose letters are named
 in order of first occurrence in R (letter i+1 may only appear after letter i
@@ -52,9 +74,13 @@ call. Results are consumed in branch order, so parallel runs return results
 equal to sequential ones, node counts included. When the search stops early,
 the workers still running are terminated rather than waited for.
 
-Node budgets are enforced deterministically: each branch runs under the full
-budget as a hard cap, and the driver stops consuming once the running total
-exceeds the budget, so a scan that completes within B nodes is proven. Time
+Node budgets are enforced deterministically: each branch runs under the
+budget left as a hard cap, and results stop being consumed once the running
+total exceeds the budget, so a scan that completes within B nodes is proven.
+A trip reports B + 1 nodes, where a sequential scan stops. A pool branch is
+capped at the budget left as its length starts; a branch whose result is
+over the budget left when it is consumed counts as that trip, so a parallel
+run reports what a sequential one does. Time
 budgets are a wall-clock safety net and are the one knob that trades
 determinism for protection. A budget that trips downgrades the result to
 exhaustive=False rather than raising. A trip at the length that carries hits
@@ -78,13 +104,13 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 from typing import Iterator, Union
 
 from .errors import BudgetExhaustedError, DomainError
-from .powers import _completed, _completions_of, _require_exponent
-from .powers import _suffix_power_from_prefixes
+from .powers import _require_exponent, _suffix_power_from_prefixes
 from .words import _SHIFT, MAX_ALPHABET, Word
 
 DEFAULT_MAX_LENGTH = 40
@@ -163,6 +189,43 @@ class SearchResult:
     crucial_words_found: int
 
 
+@lru_cache(maxsize=None)
+def _lanes(n: int) -> tuple[tuple[int, ...], tuple[int, ...], dict[int, int], int, int]:
+    """Packed-count constants for n letters: the unit vector and the top lane
+    bit of each letter (index 0 stands for no letter and holds 0), the letter
+    of each unit vector, all top bits, and 2^(_SHIFT-1) - 1 in every lane."""
+    unit = (0,) + tuple(1 << ((c - 1) * _SHIFT) for c in range(1, n + 1))
+    bit = tuple(u << (_SHIFT - 1) for u in unit)
+    letter_of = {unit[c]: c for c in range(1, n + 1)}
+    return unit, bit, letter_of, sum(bit), sum(bit) - sum(unit)
+
+
+@lru_cache(maxsize=64)
+def _slot_events(k: int, L: int) -> tuple:
+    """The completion-slot events of each depth t = 0..L of a scan to length L.
+
+    Entry t is None when no slot changes at t, else (cap, named, reached,
+    checks): cap counts the slots still undetermined after t, named is the
+    slot determined at t = 2b-1, reached the slot with t = kb-1 (k >= 3; at
+    k = 2 a slot is reached as it is determined), and checks lists the (b, j)
+    whose block j ends at t = jb-1, 3 <= j < k. Slots are named by their
+    block length b, and 0 stands for none.
+    """
+    B = (L + 1) // k
+    named = {2 * b - 1: b for b in range(1, B + 1)}
+    reached = {k * b - 1: b for b in range(1, B + 1)} if k > 2 else {}
+    checks: dict[int, list[tuple[int, int]]] = {}
+    for b in range(1, B + 1):
+        for j in range(3, k):
+            checks.setdefault(j * b - 1, []).append((b, j))
+    return tuple(
+        (max(0, B - (t + 1) // 2), named.get(t, 0), reached.get(t, 0), tuple(checks.get(t, ())))
+        if t in named or t in reached or t in checks
+        else None
+        for t in range(L + 1)
+    )
+
+
 def _walk(
     n: int,
     k: int,
@@ -176,38 +239,50 @@ def _walk(
     """Depth-first scan of free R-words of length L that extend `prefix`.
 
     Walks down to `stop` letters and returns the nodes expanded (one per
-    attempted letter append), the surviving words of `stop` letters in lex
-    order, and whether a budget tripped. With stop == L every word returned
-    is crucial once reversed.
+    attempted letter append below the prefix), the surviving words of `stop`
+    letters in lex order, and whether a budget tripped. With stop == L every
+    word returned is crucial once reversed. The prefix must be one the same
+    scan reaches, as _branches returns them.
+
+    Along the path, done marks the completed letters and named counts, lane
+    by lane, the live determined future slots that name each letter; a slot's
+    letter is kept in S[b*k + j] once it has passed block j. The bit of
+    letter x sits at the top of its lane, so (named + fill) & full marks the
+    letters named at least once.
     """
-    unit = [0] + [1 << ((c - 1) * _SHIFT) for c in range(1, n + 1)]
-    letter_of = {unit[c]: c for c in range(1, n + 1)}
-    slots = (L + 1) // k  # completion slots t <= L
-    m0 = len(prefix)
+    unit, bit, letter_of, full, fill = _lanes(n)
+    events = _slot_events(k, L)
     P = [0] * (L + 1)
-    for i, a in enumerate(prefix):
-        P[i + 1] = P[i] + unit[a]
-    word = list(prefix) + [0] * (L - m0)
-    bs = _completions_of(P, m0, k, letter_of)
-    done = 0  # bit x marks letter x completed
-    for x, b in enumerate(bs, 1):
-        if b:
-            done |= 1 << x
-    left = bs.count(None)
+    S = [0] * (((L + 1) // k + 1) * k)
+    word = [0] * L
     nodes = 0
     tripped = False
     out: list[tuple[int, ...]] = []
 
-    def dfs(m: int, seen: int, done: int, left: int) -> None:
+    def dfs(m: int, seen: int, done: int, named: int) -> None:
         nonlocal nodes, tripped
         if m == stop:
             out.append(tuple(word[:m]))
             return
         t = m + 1
-        slot = (t + 1) % k == 0
-        room = slots - (t + 1) // k  # slots left after t
         pm = P[m]
         blocks = range(1, t // k + 1)
+        ev = events[t]
+        if ev is not None:
+            cap, nb, rb, checks = ev
+            if nb:
+                nbase = 2 * P[nb - 1]
+                nslot = nb * k + 2
+            if rb:  # the slot leaves the future; it completes its letter if block k matches
+                rx = S[rb * k + k - 1]
+                named -= unit[rx]
+                rbit = bit[rx]
+                rtarget = P[t - rb] + P[2 * rb - 1] - P[rb - 1]
+            live = []
+            for b, j in checks:  # assume the slot dies; a match revives it
+                x = S[b * k + j - 1]
+                named -= unit[x]
+                live.append((P[t - b] + P[2 * b - 1] - P[b - 1], x, b * k + j))
         for a in range(1, (min(seen + 1, n) if reduction else n) + 1):
             nodes += 1
             if node_cap is not None and nodes > node_cap:
@@ -217,24 +292,65 @@ def _walk(
                 if time.monotonic() > deadline:
                     tripped = True
                     return
-            P[t] = pm + unit[a]
-            d, u = done, left
-            if slot:
-                x = _completed(P, t, k, letter_of)
-                if x and not (d >> x) & 1:
-                    d |= 1 << x
-                    u -= 1
-            if u > room:
-                continue  # too few completion slots left
+            P[t] = pa = pm + unit[a]
+            d, c = done, named
+            if ev is not None:
+                if k == 2:  # the slot is reached as it is determined; none is named
+                    d |= bit[letter_of.get(pa - nbase, 0)]
+                    if (full ^ d).bit_count() > cap:
+                        continue  # too few slots left for the open letters
+                else:
+                    if rb and pa == rtarget:
+                        d |= rbit
+                    if nb:
+                        x = letter_of.get(pa - nbase, 0)
+                        S[nslot] = x
+                        c += unit[x]
+                    for target, x, i in live:
+                        if pa == target:
+                            S[i] = x
+                            c += unit[x]
+                        else:
+                            S[i] = 0
+                    if (full ^ (d | (c + fill) & full)).bit_count() > cap:
+                        continue  # too few slots left for the open letters none names
             if _suffix_power_from_prefixes(P, t, k, blocks) is not None:
                 continue  # the extension ends in an abelian k-th power
             word[m] = a
-            dfs(t, max(seen, a), d, u)
+            dfs(t, max(seen, a), d, c)
             if tripped:
                 return
 
-    if left <= slots - (m0 + 1) // k:
-        dfs(m0, max(prefix, default=0), done, left)
+    # the prefix's state: dfs's updates for one letter per depth, without the
+    # cuts the prefix has passed; a plain loop keeps each walk's set-up cheap
+    done = named = 0
+    for m, a in enumerate(prefix):
+        t = m + 1
+        P[t] = pa = P[m] + unit[a]
+        word[m] = a
+        if events[t] is None:
+            continue
+        _, nb, rb, checks = events[t]
+        if rb:
+            x = S[rb * k + k - 1]
+            named -= unit[x]
+            if pa - P[t - rb] == P[2 * rb - 1] - P[rb - 1]:
+                done |= bit[x]
+        if nb:
+            x = letter_of.get(pa - 2 * P[nb - 1], 0)
+            if k == 2:
+                done |= bit[x]
+            else:
+                S[nb * k + 2] = x
+                named += unit[x]
+        for b, j in checks:
+            x = S[b * k + j - 1]
+            if pa - P[t - b] != P[2 * b - 1] - P[b - 1]:
+                named -= unit[x]
+                x = 0
+            S[b * k + j] = x
+    if n <= (L + 1) // k:
+        dfs(len(prefix), max(prefix, default=0), done, named)
     return nodes, out, tripped
 
 
@@ -248,14 +364,15 @@ def _w_form(r: tuple[int, ...], reduction: bool) -> tuple[int, ...]:
 
 
 def _branches(
-    n: int, k: int, depth: int, full_length: int, reduction: bool
+    n: int, k: int, depth: int, full_length: int, reduction: bool, node_cap: int | None = None
 ) -> tuple[list[tuple[int, ...]], int]:
     """All R-prefixes of exactly `depth` letters that the deep scan would reach.
 
     Returns them in lexicographic order along with the node count spent, one
-    per attempted letter append. The walk is the deep scan's, stopped early.
+    per attempted letter append. The walk is the deep scan's, stopped early;
+    a count over node_cap means the cap tripped and the prefixes are partial.
     """
-    nodes, prefixes, _ = _walk(n, k, full_length, (), reduction, depth, None, None)
+    nodes, prefixes, _ = _walk(n, k, full_length, (), reduction, depth, node_cap, None)
     return prefixes, nodes
 
 
@@ -277,7 +394,7 @@ class _Checkpoint:
     def __init__(self, path: str | Path, cfg: SearchConfig):
         self.path = Path(path)
         self.header = (
-            f"# crucialis checkpoint v2 n={cfg.n} k={cfg.k} "
+            f"# crucialis checkpoint v3 n={cfg.n} k={cfg.k} "
             f"reduction={int(cfg.symmetry_reduction)} depth={_BRANCH_DEPTH}"
         )
         self.done: dict[tuple[int, tuple[int, ...]], tuple[int, int, tuple[int, ...] | None]] = {}
@@ -379,8 +496,22 @@ def _deadline(cfg: SearchConfig) -> float | None:
     return time.monotonic() + cfg.time_budget if cfg.time_budget is not None else None
 
 
-def _over_budget(cfg: SearchConfig, state: _ScanState) -> bool:
-    return cfg.node_budget is not None and state.nodes > cfg.node_budget
+def _left(cfg: SearchConfig, state: _ScanState) -> int | None:
+    """The nodes the budget still allows, or None without a node budget."""
+    return None if cfg.node_budget is None else cfg.node_budget - state.nodes
+
+
+def _spend(cfg: SearchConfig, state: _ScanState, nodes: int) -> bool:
+    """Add nodes to the total and report whether the node budget tripped.
+
+    A trip leaves the total at budget + 1, the node at which a sequential
+    scan under the budget left stops.
+    """
+    state.nodes += nodes
+    if cfg.node_budget is not None and state.nodes > cfg.node_budget:
+        state.nodes = cfg.node_budget + 1
+        state.tripped = True
+    return state.tripped
 
 
 def _scan_length(
@@ -397,41 +528,44 @@ def _scan_length(
     are reused, not re-run; freshly completed branches are recorded.
     """
     depth = min(_BRANCH_DEPTH, L)
-    prefixes, enum_nodes = _branches(cfg.n, cfg.k, depth, L, cfg.symmetry_reduction)
-    state.nodes += enum_nodes
-    if _over_budget(cfg, state):
-        state.tripped = True
+    prefixes, enum_nodes = _branches(
+        cfg.n, cfg.k, depth, L, cfg.symmetry_reduction, _left(cfg, state)
+    )
+    if _spend(cfg, state, enum_nodes):
         return
 
-    pending = [
-        (cfg.n, cfg.k, L, p, cfg.symmetry_reduction, cfg.node_budget, deadline)
-        for p in prefixes
-        if ckpt is None or ckpt.get(L, p) is None
-    ]
+    def task(prefix: tuple[int, ...]) -> tuple:
+        return (cfg.n, cfg.k, L, prefix, cfg.symmetry_reduction, _left(cfg, state), deadline)
+
+    pending = [p for p in prefixes if ckpt is None or ckpt.get(L, p) is None]
     if cfg.workers > 1 and len(pending) > 1:
-        fresh = workers.imap(pending)
+        # caps fixed at dispatch, the budget left as the length starts
+        fresh = workers.imap([task(p) for p in pending])
     else:
-        fresh = map(_scan_branch, pending)
+        # each branch capped at the budget left when it starts
+        fresh = (_scan_branch(task(p)) for p in pending)
 
     for prefix in prefixes:
         rec = ckpt.get(L, prefix) if ckpt else None
+        found: tuple[tuple[int, ...], ...] = ()
         if rec is None:
             nodes, found, tripped = next(fresh)
             if tripped:
-                state.nodes += nodes
+                _spend(cfg, state, nodes)
                 state.tripped = True
                 return
             rec = (nodes, len(found), found[0] if found else None)
-            if state.keep is not None:
-                state.keep.extend(found)
             if ckpt:
                 ckpt.record(L, prefix, *rec)
         nodes, count, lexmin = rec
-        state.nodes += nodes
+        if _spend(cfg, state, nodes):
+            return  # over budget: the branch's words do not count
         state.words += count
+        if state.keep is not None:
+            state.keep.extend(found)
         if lexmin is not None and (state.best is None or lexmin < state.best):
             state.best = lexmin
-        if _over_budget(cfg, state) or (deadline is not None and time.monotonic() > deadline):
+        if deadline is not None and time.monotonic() > deadline:
             state.tripped = True
             return
 

@@ -183,43 +183,60 @@ def test_routine_exhaustive_minima():
     print("ACCEPTANCE exhaustive minima for squares and cubes on small alphabets: PASS")
 
 
-# Proves the minimum by exhaustive search: 22,195,829 nodes, about 35 s on one
-# core of a 2-vCPU Intel Xeon VM with Python 3.11 (workers=1, default budget).
+# Proves the minimum by exhaustive search: 691,205 nodes, about 1.3 s on one
+# core of a 2-vCPU Intel Xeon VM with Python 3.11.
+def test_exhaustive_minimum_four_letter_cubes():
+    result = search_minimal(SearchConfig(n=4, k=3, max_length=20))
+    assert result.exhaustive
+    assert result.minimal_length == 20
+    assert result.nodes_expanded == 691_205
+    assert result.crucial_words_found == 13_960
+    assert is_crucial(result.witness, 3)
+    assert is_crucial(optimal_small_word(4), 3)
+    print("ACCEPTANCE four-letter cube minimum 20, exhaustive: PASS")
+
+
+# Certifies that no crucial word for cubes over five letters is shorter than
+# 32, the paper's 9n-13 at n = 5, which the family word E_5 attains:
+# 22,700,376 nodes, about 33 s on one core of a 2-vCPU Intel Xeon VM with
+# Python 3.11 (workers=1, default budget).
 @pytest.mark.long
-def test_exhaustive_minimum_four_letter_cubes(tmp_path):
+def test_no_five_letter_cube_word_below_32(tmp_path):
     budget = int(os.environ.get("CRUCIALIS_LONG_NODE_BUDGET", str(10**10)))
     ckpt_dir = os.environ.get("CRUCIALIS_CHECKPOINT_DIR")
     ckpt = (
-        os.path.join(ckpt_dir, "crucialis-search-n4-k3.ckpt")
+        os.path.join(ckpt_dir, "crucialis-search-n5-k3.ckpt")
         if ckpt_dir
-        else tmp_path / "n4k3.ckpt"
+        else tmp_path / "n5k3.ckpt"
     )
     workers = int(os.environ.get("CRUCIALIS_LONG_WORKERS", "1"))
-    cfg = SearchConfig(
-        n=4, k=3, max_length=20, node_budget=budget, workers=workers, checkpoint_path=ckpt
-    )
-    result = search_minimal(cfg)
-    witness20 = optimal_small_word(4)
-    assert is_crucial(witness20, 3)
-    if result.exhaustive:
-        assert result.minimal_length == 20
-        assert is_crucial(result.witness, 3)
-        print("ACCEPTANCE four-letter cube minimum 20, exhaustive: PASS")
-    else:
-        # budget tripped: certify the weaker absence claim instead
-        short = verify_none_below(
+    e5 = construct_family(FamilyId.EN, 5)
+    assert len(e5) == 32 and is_crucial(e5, 3)
+
+    def none_below(limit, node_budget=None):
+        return verify_none_below(
             SearchConfig(
-                n=4,
+                n=5,
                 k=3,
-                max_length=20,
-                target_mode=VerifyNoneBelow(16),
+                max_length=limit - 1,
+                target_mode=VerifyNoneBelow(limit),
+                node_budget=node_budget,
                 workers=workers,
                 checkpoint_path=ckpt,
             )
         )
+
+    result = none_below(32, budget)
+    if result.exhaustive:
+        assert result.crucial_words_found == 0
+        assert result.minimal_length is None
+        print("ACCEPTANCE five-letter cube minimum 32, none below certified: PASS")
+    else:
+        # budget tripped: certify the weaker absence claim instead
+        short = none_below(29)
         assert short.exhaustive
         assert short.crucial_words_found == 0
-        print("ACCEPTANCE four-letter cube minimum: budget tripped, none below 16 certified: PASS")
+        print("ACCEPTANCE five-letter cube minimum: budget tripped, none below 29 certified: PASS")
 
 
 SYNTHETIC_VIOLATIONS = [

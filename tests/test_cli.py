@@ -244,7 +244,7 @@ class TestSearch:
         code, out, _ = invoke(
             [
                 "search", "--n", "3", "--k", "3", "--mode", "none-below",
-                "--length", "11", "--node-budget", "50",
+                "--length", "11", "--node-budget", "10",
             ]
         )
         assert code == 3
@@ -270,7 +270,7 @@ class TestSearch:
         assert code == 0
         ckpt = tmp_path / "crucialis-search-n2-k3.ckpt"
         assert ckpt.exists()
-        assert ckpt.read_text().startswith("# crucialis checkpoint v2 n=2 k=3")
+        assert ckpt.read_text().startswith("# crucialis checkpoint v3 n=2 k=3")
 
 
 class TestTable:
@@ -285,6 +285,22 @@ class TestTable:
             built = construct_family(FamilyId(family), int(n), int(k))
             assert str(built) == word
             assert len(built) == int(length)
+
+    def test_families_row_over_length_cap_is_marked(self):
+        # zimink(8, 6) has 6^8 - 1 letters, over the construction cap
+        code, out, _ = invoke(["table", "families", "--n", "1:8", "--k", "2:6"])
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()]
+        assert [r for r in rows if r[3] == "over-cap"] == [
+            ["zimink", "8", "6", "over-cap", str(6**8 - 1)]
+        ]
+        assert ["dnk", "8", "6"] in [r[:3] for r in rows]
+        for style in ("csv", "markdown"):
+            code, out, _ = invoke(
+                ["table", "families", "--n", "8", "--k", "6", "--output", style]
+            )
+            assert code == 0
+            assert "over-cap" in out and "dnk" in out
 
     def test_families_defaults(self):
         code, out, _ = invoke(["table", "families"])

@@ -12,6 +12,7 @@ from crucialis.constructions import (
     construct_family,
     construct_zimin,
     family_exponent,
+    family_length,
     greedy_length,
     optimal_small_word,
 )
@@ -285,6 +286,19 @@ class TestFamilyDispatch:
     def test_value_round_trip(self):
         for fam in FamilyId:
             assert FamilyId(fam.value) is fam
+
+    def test_length_formula_matches_built_word(self):
+        four_up = {FamilyId.WN, FamilyId.WN_K, FamilyId.DN, FamilyId.EN, FamilyId.DN_K}
+        for fam in FamilyId:
+            fixed = family_exponent(fam)
+            n_max = 4 if fam is FamilyId.SMALLOPT else 6
+            k_min = 3 if fam in (FamilyId.DOUBLING_K, FamilyId.WN_K) else 2
+            for n in range(4 if fam in four_up else 1, n_max + 1):
+                for k in [fixed] if fixed else range(k_min, 6):
+                    assert family_length(fam, n, k) == len(construct_family(fam, n, k))
+        assert family_length(FamilyId.ZIMIN_K, 8, 6) == 6**8 - 1  # over the cap, not built
+        with pytest.raises(DomainError):
+            family_length(FamilyId.ZIMIN, 3, k=3)
 
 
 class TestBounds:

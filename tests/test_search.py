@@ -18,6 +18,7 @@ from crucialis.search import (
     VerifyNoneBelow,
     enumerate_crucial,
     _branches,
+    _Checkpoint,
     search_minimal,
     verify_none_below,
 )
@@ -123,23 +124,22 @@ class TestDeterminism:
         assert par == seq
 
     def test_parallel_budget_trip_stops_running_workers(self, tmp_path):
-        # Complete the lengths below 20, then record the first length-20 branch
-        # with a node count over the budget. The resumed workers=2 run
-        # trips on consuming that record while its workers are still scanning
-        # the next branches, each of which would run on to the full budget.
+        # Record every branch below length 32 as scanned and empty, then the
+        # first length-32 branch with a node count over the budget. The
+        # workers=2 run trips on consuming that record while its workers are
+        # still scanning the next branches, each capped near the budget.
         path = tmp_path / "scan.ckpt"
-        assert search_minimal(
-            SearchConfig(n=4, k=3, max_length=17, checkpoint_path=path)
-        ).exhaustive
-        first = _branches(4, 3, 4, 20, True)[0][0]
-        with path.open("a") as fh:
-            fh.write(f"20 {','.join(map(str, first))} 10000001 0 -\n")
+        ckpt = _Checkpoint(path, SearchConfig(n=5, k=3))
+        for L in range(2, 32, 3):
+            for prefix in _branches(5, 3, min(4, L), L, True)[0]:
+                ckpt.record(L, prefix, 1, 0, None)
+        ckpt.record(32, _branches(5, 3, 4, 32, True)[0][0], 10**7 + 1, 0, None)
         script = (
             "import sys\n"
             "from crucialis.search import SearchConfig, search_minimal\n"
-            "r = search_minimal(SearchConfig(n=4, k=3, max_length=20, workers=2,\n"
+            "r = search_minimal(SearchConfig(n=5, k=3, max_length=32, workers=2,\n"
             "    node_budget=10**7, checkpoint_path=sys.argv[1]))\n"
-            "print(r.exhaustive, r.minimal_length)\n"
+            "print(r.exhaustive, r.minimal_length, r.nodes_expanded)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(crucialis.__file__).parents[1]))
         started = time.monotonic()
@@ -147,10 +147,10 @@ class TestDeterminism:
             [sys.executable, "-c", script, str(path)],
             capture_output=True, text=True, env=env, timeout=60,
         )
-        # a worker left to finish its branch would scan for about 15 s
+        # a worker left to finish its branch would scan 3 M nodes or more, over 4.7 s
         assert time.monotonic() - started < 5.0
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "None"]
+        assert proc.stdout.split() == ["False", "None", str(10**7 + 1)]
 
 
 class TestEnumerate:
@@ -236,11 +236,45 @@ class TestBudgets:
 
     def test_budget_is_the_most_nodes_a_proven_scan_may_spend(self):
         full = search_minimal(SearchConfig(n=3, k=3))
-        assert full.exhaustive and full.nodes_expanded == 1486
-        assert search_minimal(SearchConfig(n=3, k=3, node_budget=1486)) == full
-        short = search_minimal(SearchConfig(n=3, k=3, node_budget=1485))
+        assert full.exhaustive and full.nodes_expanded == 523
+        assert search_minimal(SearchConfig(n=3, k=3, node_budget=523)) == full
+        short = search_minimal(SearchConfig(n=3, k=3, node_budget=522))
         assert not short.exhaustive
         assert short.minimal_length == 11
+
+    @pytest.mark.parametrize("n,k", [(2, 4), (2, 5), (5, 2)])
+    def test_scan_completing_in_budget_is_proven(self, n, k):
+        full = search_minimal(SearchConfig(n=n, k=k))
+        budget = full.nodes_expanded
+        assert search_minimal(SearchConfig(n=n, k=k, node_budget=budget)) == full
+        short = search_minimal(SearchConfig(n=n, k=k, node_budget=budget - 1))
+        assert not short.exhaustive
+        assert short.nodes_expanded == budget
+
+    def test_tripped_run_spends_at_most_budget_plus_one(self):
+        # each branch is capped at the budget left, not the whole budget
+        for budget in (1, 17, 100, 300, 522):
+            result = search_minimal(SearchConfig(n=3, k=3, node_budget=budget))
+            assert not result.exhaustive
+            assert result.nodes_expanded <= budget + 1
+        cfg = SearchConfig(n=4, k=3, target_mode=VerifyNoneBelow(17), node_budget=100)
+        result = verify_none_below(cfg)
+        assert not result.exhaustive
+        assert result.nodes_expanded <= 101
+
+    def test_parallel_matches_sequential_under_tripping_budget(self):
+        for budget in (100, 300, 522):
+            seq = search_minimal(SearchConfig(n=3, k=3, node_budget=budget))
+            par = search_minimal(SearchConfig(n=3, k=3, node_budget=budget, workers=2))
+            assert not seq.exhaustive
+            assert par == seq
+        mode = VerifyNoneBelow(17)
+        seq = verify_none_below(SearchConfig(n=4, k=3, target_mode=mode, node_budget=100))
+        par = verify_none_below(
+            SearchConfig(n=4, k=3, target_mode=mode, node_budget=100, workers=2)
+        )
+        assert not seq.exhaustive
+        assert par == seq
 
     def test_time_budget_trips_to_unproven(self):
         result = search_minimal(SearchConfig(n=4, k=3, time_budget=1e-9, max_length=20))
@@ -248,7 +282,7 @@ class TestBudgets:
         assert result.minimal_length is None
 
     def test_verify_under_budget_is_not_certified(self):
-        cfg = SearchConfig(n=3, k=3, target_mode=VerifyNoneBelow(11), node_budget=50)
+        cfg = SearchConfig(n=3, k=3, target_mode=VerifyNoneBelow(11), node_budget=10)
         result = verify_none_below(cfg)
         assert not result.exhaustive
         assert result.crucial_words_found == 0
@@ -258,7 +292,7 @@ class TestCheckpoints:
     def test_resume_matches_fresh(self, tmp_path):
         path = tmp_path / "scan.ckpt"
         tripped = search_minimal(
-            SearchConfig(n=3, k=3, node_budget=1000, checkpoint_path=path)
+            SearchConfig(n=3, k=3, node_budget=300, checkpoint_path=path)
         )
         assert not tripped.exhaustive
         lines_after_trip = path.read_text().splitlines()
@@ -282,10 +316,23 @@ class TestCheckpoints:
         with pytest.raises(DomainError):
             search_minimal(SearchConfig(n=2, k=2, checkpoint_path=path))
 
+    def test_earlier_format_rejected_and_not_merged(self, tmp_path):
+        # v2 files hold per-branch counts of the scan without the determined-slot prune
+        fresh = tmp_path / "fresh.ckpt"
+        search_minimal(SearchConfig(n=3, k=3, checkpoint_path=fresh))
+        header = fresh.read_text().splitlines()[0]
+        assert header.startswith("# crucialis checkpoint v3 ")
+        path = tmp_path / "scan.ckpt"
+        v2 = header.replace(" v3 ", " v2 ") + "\n11 1,1,2,3 7 1 1,1,2,3,1,2,1,3,3,1,1\n"
+        path.write_text(v2)
+        with pytest.raises(DomainError, match="different search"):
+            search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path))
+        assert path.read_text() == v2
+
     def test_torn_tail_line_tolerated(self, tmp_path):
         path = tmp_path / "scan.ckpt"
         tripped = search_minimal(
-            SearchConfig(n=3, k=3, node_budget=1000, checkpoint_path=path)
+            SearchConfig(n=3, k=3, node_budget=300, checkpoint_path=path)
         )
         assert not tripped.exhaustive
         with path.open("a") as fh:
@@ -296,7 +343,7 @@ class TestCheckpoints:
     def test_torn_tail_without_newline_is_cut(self, tmp_path):
         path = tmp_path / "scan.ckpt"
         tripped = search_minimal(
-            SearchConfig(n=3, k=3, node_budget=1000, checkpoint_path=path)
+            SearchConfig(n=3, k=3, node_budget=300, checkpoint_path=path)
         )
         assert not tripped.exhaustive
         intact = path.read_text()

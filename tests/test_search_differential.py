@@ -1,6 +1,7 @@
 """The reverse-direction engine against a plain forward scan and the residue lemma."""
 
 import functools
+from itertools import permutations
 
 import pytest
 
@@ -22,6 +23,10 @@ from test_search import KNOWN_MINIMA
 MINIMA_CELLS = [(n, k) for n, k, _, _ in KNOWN_MINIMA] + [(2, 4), (2, 5)]
 ENUM_CELLS = [(2, 3), (3, 2), (3, 3), (2, 4)]
 ENUM_LENGTHS = range(1, 12)
+# (n, k, top length) for cells with larger minima; (2, 5) has crucial words
+# from length 14 on, and the determined-slot prune acts at k >= 3 only
+FAR_CELLS = [(4, 3, 11), (3, 4, 11), (2, 5, 16), (2, 6, 16), (3, 5, 11)]
+PLAIN_SCAN_TOO_SLOW = {(4, 3)}  # about 20 s to length 11 without reduction
 
 
 @functools.cache
@@ -32,6 +37,18 @@ def oracle_words(n, k, L, reduction=True):
 @functools.cache
 def oracle_minimal(n, k):
     return forward_search.minimal(n, k, 20)
+
+
+def renamings(words, n):
+    """Every renaming of the words over 1..n, in lex order."""
+    perms = list(permutations(range(1, n + 1)))
+    return sorted({tuple(p[a - 1] for a in w) for w in words for p in perms})
+
+
+def expected_words(n, k, L, reduction):
+    if reduction or (n, k) not in PLAIN_SCAN_TOO_SLOW:
+        return oracle_words(n, k, L, reduction)
+    return renamings(oracle_words(n, k, L), n)
 
 
 @pytest.mark.parametrize("n,k", MINIMA_CELLS)
@@ -69,6 +86,34 @@ def test_enumeration_matches_forward_scan(n, k, reduction):
         )
         got = [w.letters for w in enumerate_crucial(cfg)]
         assert got == oracle_words(n, k, L, reduction), L
+
+
+@pytest.mark.parametrize("n,k,top", FAR_CELLS)
+@pytest.mark.parametrize("reduction", [True, False])
+def test_enumeration_past_small_minima_matches_forward_scan(n, k, top, reduction):
+    for L in range(1, top + 1):
+        cfg = SearchConfig(
+            n=n, k=k, target_mode=EnumerateAllCrucialAtLength(L), symmetry_reduction=reduction
+        )
+        got = [w.letters for w in enumerate_crucial(cfg)]
+        assert got == expected_words(n, k, L, reduction), L
+
+
+@pytest.mark.parametrize("n,k", ENUM_CELLS)
+def test_plain_scan_is_the_renamings_of_the_canonical_scan(n, k):
+    # the oracle expected_words uses for cells whose plain scan is too slow
+    for L in ENUM_LENGTHS:
+        assert renamings(oracle_words(n, k, L), n) == oracle_words(n, k, L, False), L
+
+
+def test_verify_four_letter_cubes_up_to_17():
+    # no crucial word below 20 (tests/test_acceptance.py proves 20 minimal);
+    # the forward scan confirms the lengths up to 11 above
+    for limit in range(1, 18):
+        result = verify_none_below(SearchConfig(n=4, k=3, target_mode=VerifyNoneBelow(limit)))
+        assert result.exhaustive, limit
+        assert (result.minimal_length, result.witness) == (None, None), limit
+        assert result.crucial_words_found == 0
 
 
 @pytest.mark.parametrize("n,k", ENUM_CELLS + [(2, 5)])
