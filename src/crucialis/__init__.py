@@ -42,7 +42,6 @@ from .errors import (
     FormatError,
     IncompleteChainError,
     NamingError,
-    NonNestedError,
     NotCrucialError,
     ParseError,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "IncompleteChainError",
     "MAX_ALPHABET",
     "NamingError",
-    "NonNestedError",
     "NotCrucialError",
     "OccurrenceProfile",
     "ParseError",

@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import CapacityError, DomainError
-from .words import Word
+from .words import MAX_ALPHABET, Word, _word_of
 
 DEFAULT_LENGTH_CAP = 1_000_000
 
@@ -32,6 +32,14 @@ DEFAULT_LENGTH_CAP = 1_000_000
 def _guard_length(length: int, length_cap: int) -> None:
     if length > length_cap:
         raise CapacityError(f"construction length {length} exceeds cap {length_cap}")
+
+
+def _built(letters: list[int], n: int) -> Word:
+    """The word a recipe built: its letters lie in 1..n by construction, so
+    only the alphabet is checked."""
+    if n > MAX_ALPHABET:
+        raise DomainError(f"alphabet_size must be in 1..{MAX_ALPHABET}, got {n}")
+    return _word_of(tuple(letters), n)
 
 
 # length formulas, shared by the constructors' guards, bounds and family_length
@@ -61,7 +69,7 @@ def construct_zimin(n: int, k: int = 2, length_cap: int = DEFAULT_LENGTH_CAP) ->
     word: list[int] = [1] * (k - 1)
     for i in range(2, n + 1):
         word = (word + [i]) * (k - 1) + word
-    return Word(tuple(word), n)
+    return _built(word, n)
 
 
 def construct_doubling_k(n: int, k: int, length_cap: int = DEFAULT_LENGTH_CAP) -> Word:
@@ -86,7 +94,7 @@ def construct_doubling_k(n: int, k: int, length_cap: int = DEFAULT_LENGTH_CAP) -
             if pos >= last:
                 nxt.append(1)
         word = nxt
-    return Word(tuple(word), n)
+    return _built(word, n)
 
 
 def _blocks_w3(n: int) -> list[list[int]]:
@@ -139,8 +147,7 @@ def construct_W(n: int, k: int = 3, length_cap: int = DEFAULT_LENGTH_CAP) -> Wor
         second = list(blocks[0]) + list(range(n, 1, -1))
         grown = [_dup_rightmost(b, dup) for b in blocks]
         blocks = [grown[0], second] + grown[1:]
-    word = [a for b in blocks for a in b]
-    return Word(tuple(word), n)
+    return _built([a for b in blocks for a in b], n)
 
 
 def _blocks_d2(n: int) -> list[list[int]]:
@@ -178,8 +185,7 @@ def construct_D(n: int, k: int = 2, length_cap: int = DEFAULT_LENGTH_CAP) -> Wor
         if n not in grown[-1]:
             grown[-1].insert(grown[-1].index(1), n)
         blocks = [grown[0], second] + grown[1:]
-    word = [a for b in blocks for a in b]
-    return Word(tuple(word), n)
+    return _built([a for b in blocks for a in b], n)
 
 
 _OPTIMAL_SMALL = {
@@ -194,7 +200,7 @@ def optimal_small_word(n: int) -> Word:
     """A minimal-length crucial word for exponent 3 over n <= 4 letters."""
     if n not in _OPTIMAL_SMALL:
         raise DomainError(f"minimal words are stored for 1 <= n <= 4, got {n}")
-    return Word(_OPTIMAL_SMALL[n], n)
+    return _word_of(_OPTIMAL_SMALL[n], n)
 
 
 def greedy_length(n: int) -> int:

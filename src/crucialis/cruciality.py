@@ -19,16 +19,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import (
-    DomainError,
-    IncompleteChainError,
-    NamingError,
-    NonNestedError,
-    NotCrucialError,
-)
+from .errors import DomainError, IncompleteChainError, NamingError, NotCrucialError
 from .powers import _require_exponent, is_abelian_power_free, prefix_completions
 from .powers import suffix_abelian_power  # noqa: F401  (kept importable here; perfbench traces it)
-from .words import Word
+from .words import Word, _word_of
 
 
 def _completions(w: Word, k: int) -> list[int | None]:
@@ -78,7 +72,7 @@ class CrucialDecomposition:
         if not 1 <= i <= len(self.delta_lengths):
             raise IndexError(f"no suffix D_{i} in a chain of {len(self.delta_lengths)}")
         m = len(self.word)
-        return Word(self.word.letters[m - self.delta_lengths[i - 1] :], self.word.alphabet_size)
+        return _word_of(self.word.letters[m - self.delta_lengths[i - 1] :], self.word.alphabet_size)
 
 
 def _crucial_block_lengths(w: Word, k: int, caller: str) -> list[int]:
@@ -92,13 +86,10 @@ def _crucial_block_lengths(w: Word, k: int, caller: str) -> list[int]:
 def _rank_by_block_length(bs: list[int]) -> tuple[int, ...]:
     """Renaming that sorts letters by completing-suffix length.
 
-    Returns perm with perm[x-1] = new name of letter x. Equal lengths admit no
-    strictly nested chain and are rejected; _completions never gives them.
+    Returns perm with perm[x-1] = new name of letter x. The lengths are
+    distinct: each block length completes at most one letter.
     """
-    order = sorted(range(len(bs)), key=lambda i: (bs[i], i))
-    for a, b in zip(order, order[1:]):
-        if bs[a] == bs[b]:
-            raise NonNestedError(a + 1, b + 1)
+    order = sorted(range(len(bs)), key=lambda i: bs[i])
     perm = [0] * len(bs)
     for rank, idx in enumerate(order, start=1):
         perm[idx] = rank
@@ -127,14 +118,17 @@ def decompose(w: Word, k: int) -> CrucialDecomposition:
         raise IncompleteChainError(
             f"longest suffix D_{n} has length {lengths[-1]} but the word has length {m}"
         )
+    # slices of the checked w and the letters 1..n: no letter needs a re-check
     gaps = tuple(
-        Word(w.letters[m - lengths[i] : m - lengths[i - 1]], n) for i in range(1, n)
+        _word_of(w.letters[m - lengths[i] : m - lengths[i - 1]], n) for i in range(1, n)
     )
     blocks = []
     for i in range(1, n + 1):
         b = bs[i - 1]
-        ext = w.letters[m - (k * b - 1) :] + (i,)
-        blocks.append(tuple(Word(ext[j * b : (j + 1) * b], n) for j in range(k)))
+        s = m - (k * b - 1)  # D_i starts here; its last block ends with the letter i
+        row = [_word_of(w.letters[s + j * b : s + (j + 1) * b], n) for j in range(k - 1)]
+        row.append(_word_of(w.letters[s + (k - 1) * b :] + (i,), n))
+        blocks.append(tuple(row))
     return CrucialDecomposition(
         word=w,
         exponent=k,
@@ -153,7 +147,7 @@ def normalize(w: Word, k: int) -> tuple[Word, tuple[int, ...]]:
     """
     bs = _crucial_block_lengths(w, k, "normalize")
     perm = _rank_by_block_length(bs)
-    renamed = Word(tuple(perm[a - 1] for a in w.letters), w.alphabet_size)
+    renamed = _word_of(tuple(perm[a - 1] for a in w.letters), w.alphabet_size)
     return renamed, perm
 
 

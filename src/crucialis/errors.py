@@ -32,21 +32,6 @@ class NamingError(CrucialisError):
     """
 
 
-class NonNestedError(CrucialisError):
-    """Two letters have minimal completing suffixes of equal length.
-
-    Strict nesting of the suffix chain is then impossible under any renaming.
-    Carries the pair of letters involved.
-    """
-
-    def __init__(self, letter_a: int, letter_b: int):
-        self.letters = (letter_a, letter_b)
-        super().__init__(
-            f"letters {letter_a} and {letter_b} have equal minimal suffix lengths; "
-            "the suffix chain cannot be strictly nested"
-        )
-
-
 class IncompleteChainError(CrucialisError):
     """The longest suffix in the chain does not span the whole word.
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
-from .words import Word, packed_prefixes
+from .words import Word, _word_of, packed_prefixes
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class PowerOccurrence:
         return self.start + self.block_length * self.exponent
 
     def factor(self, w: Word) -> Word:
-        return Word(w.letters[self.start : self.end], w.alphabet_size)
+        return _word_of(w.letters[self.start : self.end], w.alphabet_size)
 
 
 def _require_exponent(k: int) -> None:

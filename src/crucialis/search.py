@@ -95,23 +95,24 @@ then one line per completed branch: target length, comma-joined branch
 prefix of R, nodes expanded below it, number of crucial words found, and the
 least of them in W form (or -). Re-running with the same configuration reuses
 recorded branches and appends new ones; find and verify runs of the same
-(n, k) may share a file. A torn final line, left by an interrupted write, is
-cut off on load; a malformed line anywhere else raises DomainError.
+(n, k) may share a file, one search at a time: a search holds an exclusive
+lock on its file while it runs, and a second search on the same file raises
+DomainError without touching it. A torn final line, left by an interrupted
+write, is cut off on load; a malformed line anywhere else raises DomainError.
 """
 
 from __future__ import annotations
 
-import os
+import fcntl
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 from typing import Iterator, Union
 
 from .errors import BudgetExhaustedError, DomainError
 from .powers import _require_exponent, _suffix_power_from_prefixes
-from .words import _SHIFT, MAX_ALPHABET, Word
+from .words import _SHIFT, MAX_ALPHABET, Word, _word_of
 
 DEFAULT_MAX_LENGTH = 40
 _BRANCH_DEPTH = 4
@@ -351,6 +352,9 @@ def _walk(
             S[b * k + j] = x
     if n <= (L + 1) // k:
         dfs(len(prefix), max(prefix, default=0), done, named)
+    # dfs reaches itself through its closure; cutting that cycle lets reference
+    # counting free the walk's state, instead of leaving it to the cyclic GC
+    dfs = None
     return nodes, out, tripped
 
 
@@ -380,33 +384,56 @@ def _scan_branch(task: tuple) -> tuple[int, tuple[tuple[int, ...], ...], bool]:
     """Depth-first scan below one branch prefix of R.
 
     task = (n, k, L, prefix, reduction, node_cap, deadline). Returns the
-    nodes expanded below the prefix, the crucial words found in W form,
-    sorted, and whether a budget tripped mid-branch.
+    nodes expanded below the prefix, the crucial words found in W form, in
+    no set order, and whether a budget tripped mid-branch.
     """
     n, k, L, prefix, reduction, node_cap, deadline = task
     nodes, hits, tripped = _walk(n, k, L, prefix, reduction, L, node_cap, deadline)
-    return nodes, tuple(sorted(_w_form(r, reduction) for r in hits)), tripped
+    return nodes, tuple(_w_form(r, reduction) for r in hits), tripped
 
 
 class _Checkpoint:
-    """Append-only record of completed branch scans."""
+    """Append-only record of completed branch scans.
+
+    The file stays open and exclusively locked (flock) from construction to
+    close(), so a second search writing the same file fails with DomainError
+    before it reads or changes anything.
+    """
 
     def __init__(self, path: str | Path, cfg: SearchConfig):
         self.path = Path(path)
+        self.n = cfg.n
         self.header = (
             f"# crucialis checkpoint v3 n={cfg.n} k={cfg.k} "
             f"reduction={int(cfg.symmetry_reduction)} depth={_BRANCH_DEPTH}"
         )
         self.done: dict[tuple[int, tuple[int, ...]], tuple[int, int, tuple[int, ...] | None]] = {}
-        if self.path.exists() and self.path.stat().st_size > 0:
-            self._load()
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "w") as fh:
-                fh.write(self.header + "\n")
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.fh = open(self.path, "a+")
+        try:
+            try:
+                fcntl.flock(self.fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise DomainError(
+                    f"checkpoint {self.path} is in use by another search"
+                ) from None
+            if self.fh.tell() > 0:
+                self._load()  # appends go to the end: the file is in append mode
+            else:
+                self._append(self.header + "\n")
+        except BaseException:
+            self.fh.close()
+            raise
 
-    @staticmethod
-    def _parse(line: str):
+    def close(self) -> None:
+        """Release the lock; the records written so far stay on disk."""
+        self.fh.close()
+
+    def _append(self, text: str) -> None:
+        self.fh.write(text)
+        self.fh.flush()
+
+    def _parse(self, line: str):
         """(key, record) of one complete branch line; ValueError if malformed."""
         parts = line.split()
         if not line.endswith("\n") or len(parts) != 5:
@@ -415,11 +442,13 @@ class _Checkpoint:
         prefix = tuple(int(x) for x in parts[1].split(","))
         nodes, count = int(parts[2]), int(parts[3])
         lexmin = None if parts[4] == "-" else tuple(int(x) for x in parts[4].split(","))
+        if lexmin is not None and not all(1 <= a <= self.n for a in lexmin):
+            raise ValueError(line)  # the witness it would report is no word over 1..n
         return (length, prefix), (nodes, count, lexmin)
 
     def _load(self) -> None:
-        with open(self.path) as fh:
-            lines = fh.readlines()
+        self.fh.seek(0)
+        lines = self.fh.readlines()
         if lines[0].rstrip("\n") != self.header:
             raise DomainError(
                 f"checkpoint {self.path} belongs to a different search "
@@ -432,7 +461,7 @@ class _Checkpoint:
             except ValueError:
                 if i == len(lines):
                     # torn tail from an interrupted run: cut it so appends start clean
-                    os.truncate(self.path, size)
+                    self.fh.truncate(size)
                     return
                 raise DomainError(
                     f"checkpoint {self.path} line {i} is malformed: {line.rstrip()!r}"
@@ -457,8 +486,7 @@ class _Checkpoint:
         self.done[key] = (nodes, count, lexmin)
         pw = ",".join(map(str, prefix))
         lw = ",".join(map(str, lexmin)) if lexmin else "-"
-        with open(self.path, "a") as fh:
-            fh.write(f"{length} {pw} {nodes} {count} {lw}\n")
+        self._append(f"{length} {pw} {nodes} {count} {lw}\n")
 
 
 class _Workers:
@@ -470,6 +498,9 @@ class _Workers:
 
     def imap(self, tasks: list[tuple]) -> Iterator:
         if self.pool is None:
+            # imported here, so a search without a pool (and the CLI) never loads it
+            from multiprocessing import get_all_start_methods, get_context
+
             # fork keeps workers independent of how the parent was launched
             method = "fork" if "fork" in get_all_start_methods() else "spawn"
             self.pool = get_context(method).Pool(self.size)
@@ -554,7 +585,7 @@ def _scan_length(
                 _spend(cfg, state, nodes)
                 state.tripped = True
                 return
-            rec = (nodes, len(found), found[0] if found else None)
+            rec = (nodes, len(found), min(found, default=None))
             if ckpt:
                 ckpt.record(L, prefix, *rec)
         nodes, count, lexmin = rec
@@ -582,7 +613,7 @@ def _search(cfg: SearchConfig, lengths: range) -> SearchResult:
             if state.best is not None:
                 return SearchResult(
                     minimal_length=L,
-                    witness=Word(state.best, cfg.n),
+                    witness=_word_of(state.best, cfg.n),
                     exhaustive=not state.tripped,
                     nodes_expanded=state.nodes,
                     crucial_words_found=state.words,
@@ -590,7 +621,10 @@ def _search(cfg: SearchConfig, lengths: range) -> SearchResult:
             if state.tripped:
                 break
     finally:
+        # forked workers share the locked file, so they go first
         workers.close()
+        if ckpt is not None:
+            ckpt.close()
     return SearchResult(
         minimal_length=None,
         witness=None,
@@ -653,4 +687,4 @@ def enumerate_crucial(cfg: SearchConfig) -> Iterator[Word]:
     if state.tripped:
         raise BudgetExhaustedError(f"budget exhausted after {state.nodes} nodes")
     for letters in sorted(state.keep):
-        yield Word(letters, cfg.n)
+        yield _word_of(letters, cfg.n)

@@ -34,12 +34,7 @@ class Word:
     def __post_init__(self) -> None:
         if not isinstance(self.letters, tuple):
             object.__setattr__(self, "letters", tuple(self.letters))
-        n = self.alphabet_size
-        if not 1 <= n <= MAX_ALPHABET:
-            raise DomainError(f"alphabet_size must be in 1..{MAX_ALPHABET}, got {n}")
-        for a in self.letters:
-            if not isinstance(a, int) or not 1 <= a <= n:
-                raise DomainError(f"letter {a!r} outside alphabet 1..{n}")
+        _check(self.letters, self.alphabet_size)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -56,15 +51,40 @@ class Word:
 
     def concat(self, other: "Word") -> "Word":
         n = max(self.alphabet_size, other.alphabet_size)
-        return Word(self.letters + other.letters, n)
+        return _word_of(self.letters + other.letters, n)
 
     def append(self, letter: int) -> "Word":
         # letter may exceed the current alphabet; the alphabet widens to fit
-        n = max(self.alphabet_size, letter)
-        return Word(self.letters + (letter,), n)
+        n = max(self.alphabet_size, letter) if isinstance(letter, int) else self.alphabet_size
+        _check((letter,), n)
+        return _word_of(self.letters + (letter,), n)
 
     def reversed(self) -> "Word":
-        return Word(self.letters[::-1], self.alphabet_size)
+        return _word_of(self.letters[::-1], self.alphabet_size)
+
+
+def _check(letters: tuple, n: int) -> None:
+    """DomainError unless 1 <= n <= MAX_ALPHABET and every letter is an int in 1..n."""
+    if not 1 <= n <= MAX_ALPHABET:
+        raise DomainError(f"alphabet_size must be in 1..{MAX_ALPHABET}, got {n}")
+    for a in letters:
+        if not isinstance(a, int) or not 1 <= a <= n:
+            raise DomainError(f"letter {a!r} outside alphabet 1..{n}")
+
+
+def _word_of(letters: tuple[int, ...], n: int) -> Word:
+    """The Word (letters, n), built without checking its letters.
+
+    Precondition: letters is a tuple of ints in 1..n and 1 <= n <= MAX_ALPHABET.
+    The caller has checked them already, or derived them from a checked word
+    (a slice, reversal, join or renaming) or built them itself from 1..n.
+    Letters are checked once, where a word enters the package: by Word(...),
+    word(...), parse_word and Word.append.
+    """
+    w = object.__new__(Word)
+    object.__setattr__(w, "letters", letters)
+    object.__setattr__(w, "alphabet_size", n)
+    return w
 
 
 def word(letters: Iterable[int], alphabet_size: int | None = None) -> Word:
@@ -146,7 +166,7 @@ def parse_word(
         inferred = alphabet_size
     if inferred > MAX_ALPHABET:
         raise ParseError(f"alphabet size {inferred} exceeds the maximum {MAX_ALPHABET}")
-    return Word(tuple(letters), inferred)
+    return _word_of(tuple(letters), inferred)  # every letter checked above
 
 
 def render_word(w: Word, fmt: WordFormat = WordFormat.COMPACT) -> str:

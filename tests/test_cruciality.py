@@ -9,7 +9,6 @@ from crucialis.cruciality import (
     CrucialDecomposition,
     OccurrenceProfile,
     ViolationTag,
-    _rank_by_block_length,
     decompose,
     is_crucial,
     is_maximal,
@@ -21,7 +20,6 @@ from crucialis.errors import (
     DomainError,
     IncompleteChainError,
     NamingError,
-    NonNestedError,
     NotCrucialError,
 )
 from crucialis.words import Word, parse_word, word
@@ -189,13 +187,6 @@ class TestNormalize:
             assert is_crucial(relabeled, 3)
             renamed, _ = normalize(relabeled, 3)
             assert renamed == base
-
-    def test_equal_suffix_lengths_reported(self):
-        # unreachable through the public API for genuinely crucial words;
-        # the guard is exercised directly
-        with pytest.raises(NonNestedError) as info:
-            _rank_by_block_length([2, 1, 2])
-        assert info.value.letters == (1, 3)
 
 
 class TestOccurrenceProfile:

@@ -1,5 +1,6 @@
 """Search engine: minima, enumeration, certificates, budgets, checkpoints."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -134,6 +135,7 @@ class TestDeterminism:
             for prefix in _branches(5, 3, min(4, L), L, True)[0]:
                 ckpt.record(L, prefix, 1, 0, None)
         ckpt.record(32, _branches(5, 3, 4, 32, True)[0][0], 10**7 + 1, 0, None)
+        ckpt.close()  # releases the lock for the search below
         script = (
             "import sys\n"
             "from crucialis.search import SearchConfig, search_minimal\n"
@@ -151,6 +153,19 @@ class TestDeterminism:
         assert time.monotonic() - started < 5.0
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "None", str(10**7 + 1)]
+
+
+def test_search_leaves_no_cyclic_garbage():
+    # reference counting frees each walk's state, so no search waits on a GC pass
+    gc.collect()
+    gc.disable()
+    try:
+        search_minimal(SearchConfig(n=3, k=3))
+        list(enumerate_crucial(SearchConfig(n=3, k=3, target_mode=EnumerateAllCrucialAtLength(11))))
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0
 
 
 class TestEnumerate:
@@ -365,6 +380,16 @@ class TestCheckpoints:
         with pytest.raises(DomainError):
             search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path))
 
+    def test_out_of_range_witness_rejected(self, tmp_path):
+        # a recorded least word becomes the witness, so its letters are checked on load
+        path = tmp_path / "scan.ckpt"
+        search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path))
+        lines = path.read_text().splitlines(keepends=True)
+        lines.insert(2, "11 9,9,9,9 7 1 1,1,2,3,1,2,1,3,3,1,4\n")
+        path.write_text("".join(lines))
+        with pytest.raises(DomainError, match="line 3 is malformed"):
+            search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path))
+
     def test_verify_shares_find_checkpoint(self, tmp_path):
         path = tmp_path / "scan.ckpt"
         search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path))
@@ -373,6 +398,36 @@ class TestCheckpoints:
         )
         assert result.exhaustive
         assert result.crucial_words_found == 0
+
+    def test_second_writer_rejected_and_file_untouched(self, tmp_path):
+        path = tmp_path / "scan.ckpt"
+        search_minimal(SearchConfig(n=3, k=3, node_budget=300, checkpoint_path=path))
+        before = path.read_bytes()
+        script = (
+            "import fcntl, sys\n"
+            "fh = open(sys.argv[1], 'a')\n"
+            "fcntl.flock(fh, fcntl.LOCK_EX)\n"
+            "print('locked', flush=True)\n"
+            "sys.stdin.read()\n"
+        )
+        holder = subprocess.Popen(
+            [sys.executable, "-c", script, str(path)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            assert holder.stdout.readline().split() == ["locked"]
+            with pytest.raises(DomainError, match="in use"):
+                search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path))
+            assert path.read_bytes() == before
+        finally:
+            holder.stdin.close()
+            holder.wait(timeout=30)
+            holder.stdout.close()
+        assert holder.returncode == 0
+        # with the lock released, the search resumes from the same file
+        resumed = search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path))
+        assert resumed == search_minimal(SearchConfig(n=3, k=3))
+        assert path.read_bytes().startswith(before) and path.read_bytes() != before
 
     def test_parallel_with_checkpoint_matches(self, tmp_path):
         path = tmp_path / "scan.ckpt"

@@ -47,6 +47,12 @@ class TestWordType:
         with pytest.raises(DomainError):
             Word(letters, n)
 
+    @pytest.mark.parametrize("letter", [0, MAX_ALPHABET + 1, 1.0, -1])
+    def test_append_rejects_out_of_range(self, letter):
+        # append checks only its new letter; the word's own letters are checked
+        with pytest.raises(DomainError):
+            Word((1, 2), 2).append(letter)
+
     def test_append_widens_alphabet(self):
         w = word((1, 2)).append(3)
         assert w.letters == (1, 2, 3)
@@ -151,6 +157,17 @@ def test_import_leaves_numpy_out():
     env = dict(os.environ, PYTHONPATH=str(Path(crucialis.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, crucialis; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # the process pool module loads only when a search starts its pool
+    env = dict(os.environ, PYTHONPATH=str(Path(crucialis.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, crucialis.cli; print('multiprocessing' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
