@@ -8,6 +8,10 @@ increase, the chain D_1 < D_2 < ... < D_n nests and D_n spans the whole word
 whenever the word is minimal. decompose() materializes that chain; normalize()
 computes the renaming.
 
+A verdict is memoised per Word object: is_crucial, normalize and decompose on
+one word share one freeness scan and one completion pass, and the word that
+normalize returns carries its own verdict, so decomposing it scans nothing.
+
 The occurrence profile (a0; a1 <= ... <= a_{n-1}) records how often letter n
 occurs (a0) and the sorted counts of the remaining letters. For exponent 3 a
 short list of profiles is impossible in crucial words; profile_violations
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import DomainError, IncompleteChainError, NamingError, NotCrucialError
 from .powers import _require_exponent, is_abelian_power_free, prefix_completions
@@ -31,13 +36,24 @@ def _completions(w: Word, k: int) -> list[int | None]:
     return prefix_completions(w.letters[::-1], w.alphabet_size, k)
 
 
-def _block_lengths(w: Word, k: int) -> list[int | None] | None:
+_MEMO = "_block_lengths_by_k"  # the Word's own __dict__ entry: {k: _block_lengths(w, k)}
+
+
+def _block_lengths(w: Word, k: int) -> tuple[int | None, ...] | None:
     """The completions of the candidate w, or None when w is not free: the
-    checks of every cruciality verdict, in order, with one freeness scan."""
+    checks of every cruciality verdict, in order, with one freeness scan.
+
+    The answer is memoised on w itself, keyed by k, so is_crucial, normalize
+    and decompose on one Word object scan it once. The memo is a plain dict in
+    the instance's __dict__: Word's eq, hash and repr read only its fields.
+    """
     _require_exponent(k)
     if len(w) == 0:
         raise DomainError("the empty word is never a crucial-word candidate")
-    return _completions(w, k) if is_abelian_power_free(w, k) else None
+    memo = w.__dict__.setdefault(_MEMO, {})
+    if k not in memo:
+        memo[k] = tuple(_completions(w, k)) if is_abelian_power_free(w, k) else None
+    return memo[k]
 
 
 def is_crucial(w: Word, k: int) -> bool:
@@ -75,7 +91,7 @@ class CrucialDecomposition:
         return _word_of(self.word.letters[m - self.delta_lengths[i - 1] :], self.word.alphabet_size)
 
 
-def _crucial_block_lengths(w: Word, k: int, caller: str) -> list[int]:
+def _crucial_block_lengths(w: Word, k: int, caller: str) -> tuple[int, ...]:
     """The completions of w, which must be crucial (NotCrucialError otherwise)."""
     bs = _block_lengths(w, k)
     if bs is None or None in bs:
@@ -83,7 +99,7 @@ def _crucial_block_lengths(w: Word, k: int, caller: str) -> list[int]:
     return bs
 
 
-def _rank_by_block_length(bs: list[int]) -> tuple[int, ...]:
+def _rank_by_block_length(bs: Sequence[int]) -> tuple[int, ...]:
     """Renaming that sorts letters by completing-suffix length.
 
     Returns perm with perm[x-1] = new name of letter x. The lengths are
@@ -144,10 +160,18 @@ def normalize(w: Word, k: int) -> tuple[Word, tuple[int, ...]]:
     Returns (renamed word, perm) where perm[x-1] is the new name of original
     letter x. Words already in chain order come back unchanged with the
     identity renaming.
+
+    The renamed word u carries its own verdict, so decompose(u, k) does not
+    scan it again. Renaming letters is a bijection on Parikh vectors: two
+    factors of w have equal counts iff their images in u do. So u is free iff
+    w is, and with y = perm[x-1], u.y ends in an abelian k-th power of block
+    length b iff w.x does: letter y of u completes at bs[x-1]. perm ranks the
+    letters by bs, so the completions of u, letter by letter, are sorted(bs).
     """
     bs = _crucial_block_lengths(w, k, "normalize")
     perm = _rank_by_block_length(bs)
     renamed = _word_of(tuple(perm[a - 1] for a in w.letters), w.alphabet_size)
+    renamed.__dict__[_MEMO] = {k: tuple(sorted(bs))}
     return renamed, perm
 
 

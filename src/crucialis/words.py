@@ -26,7 +26,11 @@ class WordFormat(enum.Enum):
 
 @dataclass(frozen=True)
 class Word:
-    """Immutable word over the alphabet {1..alphabet_size}."""
+    """Immutable word over the alphabet {1..alphabet_size}.
+
+    cruciality memoises its verdicts in the instance's __dict__; equality,
+    hashing and repr read only the two fields.
+    """
 
     letters: tuple[int, ...]
     alphabet_size: int

@@ -9,6 +9,7 @@ CRUCIALIS_CHECKPOINT_DIR set) to include it.
 import os
 import random
 import time
+from operator import sub
 
 import pytest
 
@@ -274,17 +275,14 @@ def test_profile_structure_of_small_optimal_family():
 
 
 def _reference_occurrence(prefix_counts, length, k):
-    """Earliest abelian k-power ending at the last position, smallest block."""
-    n = len(prefix_counts[0])
+    """Abelian k-power ending at position length, smallest block; reads
+    prefix_counts only up to index length."""
+    def block(j, b):
+        return tuple(map(sub, prefix_counts[length - j * b], prefix_counts[length - (j + 1) * b]))
+
     for b in range(1, length // k + 1):
-        blocks = [
-            tuple(
-                prefix_counts[length - j * b][a] - prefix_counts[length - (j + 1) * b][a]
-                for a in range(n)
-            )
-            for j in range(k)
-        ]
-        if all(bl == blocks[0] for bl in blocks[1:]):
+        last = block(0, b)
+        if all(block(j, b) == last for j in range(1, k)):  # stops at the first differing block
             return (length - k * b, length, b)
     return None
 
@@ -298,7 +296,7 @@ def _naive_occurrence(letters, n, k):
         row[a - 1] += 1
         pref.append(tuple(row))
     for end in range(k, L + 1):
-        got = _reference_occurrence(pref[: end + 1], end, k)
+        got = _reference_occurrence(pref, end, k)
         if got is not None:
             return got
     return None
