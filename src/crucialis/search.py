@@ -68,11 +68,13 @@ at that length: every canonical word under symmetry reduction, every word
 without it. Enumeration maps and sorts all hits of its length.
 
 The tree is split at a fixed shallow depth into branches, prefixes of R.
-Branches are scanned in lexicographic order, sequentially or on a process
-pool that is started on first use and serves every length of one search
-call. Results are consumed in branch order, so parallel runs return results
-equal to sequential ones, node counts included. When the search stops early,
-the workers still running are terminated rather than waited for.
+A branch walk descends through its prefix with the same DFS, one forced
+letter per depth, and counts only the appends below it. Branches are
+scanned in lexicographic order, sequentially or on a process pool that is
+started on first use and serves every length of one search call. Results
+are consumed in branch order, so parallel runs return results equal to
+sequential ones, node counts included. When the search stops early, the
+workers still running are terminated rather than waited for.
 
 Node budgets are enforced deterministically: each branch runs under the
 budget left as a hard cap, and results stop being consumed once the running
@@ -227,6 +229,12 @@ def _slot_events(k: int, L: int) -> tuple:
     )
 
 
+@lru_cache(maxsize=None)
+def _choices(n: int, reduction: bool) -> tuple[range, ...]:
+    """The letters a scan may append, indexed by the largest letter seen."""
+    return tuple(range(1, (min(seen + 1, n) if reduction else n) + 1) for seen in range(n + 1))
+
+
 def _walk(
     n: int,
     k: int,
@@ -243,7 +251,9 @@ def _walk(
     attempted letter append below the prefix), the surviving words of `stop`
     letters in lex order, and whether a budget tripped. With stop == L every
     word returned is crucial once reversed. The prefix must be one the same
-    scan reaches, as _branches returns them.
+    scan reaches, as _branches returns them: the walk descends through it one
+    forced letter per depth, and nodes starts at -len(prefix), so only the
+    appends below the prefix count.
 
     Along the path, done marks the completed letters and named counts, lane
     by lane, the live determined future slots that name each letter; a slot's
@@ -251,12 +261,16 @@ def _walk(
     letter x sits at the top of its lane, so (named + fill) & full marks the
     letters named at least once.
     """
+    if n > (L + 1) // k:
+        return 0, [], False  # fewer slots than letters: no word completes them all
     unit, bit, letter_of, full, fill = _lanes(n)
     events = _slot_events(k, L)
+    choices = _choices(n, reduction)
+    forced = [(a,) for a in prefix] + [()] * (stop - len(prefix))
     P = [0] * (L + 1)
     S = [0] * (((L + 1) // k + 1) * k)
     word = [0] * L
-    nodes = 0
+    nodes = -len(prefix)
     tripped = False
     out: list[tuple[int, ...]] = []
 
@@ -284,7 +298,7 @@ def _walk(
                 x = S[b * k + j - 1]
                 named -= unit[x]
                 live.append((P[t - b] + P[2 * b - 1] - P[b - 1], x, b * k + j))
-        for a in range(1, (min(seen + 1, n) if reduction else n) + 1):
+        for a in forced[m] or choices[seen]:
             nodes += 1
             if node_cap is not None and nodes > node_cap:
                 tripped = True
@@ -322,36 +336,7 @@ def _walk(
             if tripped:
                 return
 
-    # the prefix's state: dfs's updates for one letter per depth, without the
-    # cuts the prefix has passed; a plain loop keeps each walk's set-up cheap
-    done = named = 0
-    for m, a in enumerate(prefix):
-        t = m + 1
-        P[t] = pa = P[m] + unit[a]
-        word[m] = a
-        if events[t] is None:
-            continue
-        _, nb, rb, checks = events[t]
-        if rb:
-            x = S[rb * k + k - 1]
-            named -= unit[x]
-            if pa - P[t - rb] == P[2 * rb - 1] - P[rb - 1]:
-                done |= bit[x]
-        if nb:
-            x = letter_of.get(pa - 2 * P[nb - 1], 0)
-            if k == 2:
-                done |= bit[x]
-            else:
-                S[nb * k + 2] = x
-                named += unit[x]
-        for b, j in checks:
-            x = S[b * k + j - 1]
-            if pa - P[t - b] != P[2 * b - 1] - P[b - 1]:
-                named -= unit[x]
-                x = 0
-            S[b * k + j] = x
-    if n <= (L + 1) // k:
-        dfs(len(prefix), max(prefix, default=0), done, named)
+    dfs(0, 0, 0, 0)
     # dfs reaches itself through its closure; cutting that cycle lets reference
     # counting free the walk's state, instead of leaving it to the cyclic GC
     dfs = None
@@ -442,8 +427,12 @@ class _Checkpoint:
         prefix = tuple(int(x) for x in parts[1].split(","))
         nodes, count = int(parts[2]), int(parts[3])
         lexmin = None if parts[4] == "-" else tuple(int(x) for x in parts[4].split(","))
-        if lexmin is not None and not all(1 <= a <= self.n for a in lexmin):
-            raise ValueError(line)  # the witness it would report is no word over 1..n
+        if nodes < 0 or count < 0 or (count > 0) != (lexmin is not None):
+            raise ValueError(line)  # a branch has a least word exactly when it has words
+        if lexmin is not None and (
+            len(lexmin) != length or not all(1 <= a <= self.n for a in lexmin)
+        ):
+            raise ValueError(line)  # the witness would be no word of this length over 1..n
         return (length, prefix), (nodes, count, lexmin)
 
     def _load(self) -> None:
@@ -568,7 +557,8 @@ def _scan_length(
     def task(prefix: tuple[int, ...]) -> tuple:
         return (cfg.n, cfg.k, L, prefix, cfg.symmetry_reduction, _left(cfg, state), deadline)
 
-    pending = [p for p in prefixes if ckpt is None or ckpt.get(L, p) is None]
+    recs = [ckpt.get(L, p) if ckpt else None for p in prefixes]
+    pending = [p for p, rec in zip(prefixes, recs) if rec is None]
     if cfg.workers > 1 and len(pending) > 1:
         # caps fixed at dispatch, the budget left as the length starts
         fresh = workers.imap([task(p) for p in pending])
@@ -576,8 +566,7 @@ def _scan_length(
         # each branch capped at the budget left when it starts
         fresh = (_scan_branch(task(p)) for p in pending)
 
-    for prefix in prefixes:
-        rec = ckpt.get(L, prefix) if ckpt else None
+    for prefix, rec in zip(prefixes, recs):
         found: tuple[tuple[int, ...], ...] = ()
         if rec is None:
             nodes, found, tripped = next(fresh)

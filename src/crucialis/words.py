@@ -144,10 +144,10 @@ def parse_word(
     if fmt is WordFormat.COMPACT:
         letters = []
         for ch in text.strip():
-            if not ch.isdigit():
-                raise ParseError(f"compact words are digit strings, got {ch!r}")
             if ch == "0":
                 raise ParseError("letter 0 is not part of any alphabet")
+            if not "1" <= ch <= "9":  # ASCII only: str.isdigit also holds for '²' and '٣'
+                raise ParseError(f"compact words are digit strings, got {ch!r}")
             letters.append(int(ch))
     elif fmt is WordFormat.SPACED:
         letters = []

@@ -139,6 +139,14 @@ class TestCheck:
         assert code == 2
         assert err != ""
 
+    @pytest.mark.parametrize("text", ["1²1", "1٣1"])
+    def test_non_ascii_digit_is_a_usage_error(self, text):
+        # str.isdigit holds for both, and int() reads '٣' as 3
+        code, out, err = invoke(["check", "--what", "free", "--k", "2", "--word", text])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_explicit_alphabet_widens(self):
         # letter 3 declared but absent: appending it never creates a suffix power
         code, out, _ = invoke(

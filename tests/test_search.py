@@ -380,15 +380,40 @@ class TestCheckpoints:
         with pytest.raises(DomainError):
             search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path))
 
-    def test_out_of_range_witness_rejected(self, tmp_path):
-        # a recorded least word becomes the witness, so its letters are checked on load
+    # records no scan writes: a witness off the alphabet or of another length,
+    # negative counts, a witness without a count or a count without a witness
+    LYING_RECORDS = {
+        "out-of-range": "11 9,9,9,9 7 1 1,1,2,3,1,2,1,3,3,1,4",
+        "short-witness": "11 9,9,9,9 7 1 1,2",
+        "negative-nodes": "11 9,9,9,9 -7 0 -",
+        "negative-count": "11 9,9,9,9 7 -1 -",
+        "witness-no-count": "8 9,9,9,9 7 0 1,1,2,1,2,2,1,2",
+        "count-no-witness": "11 9,9,9,9 7 1 -",
+    }
+
+    @pytest.mark.parametrize("record", LYING_RECORDS.values(), ids=LYING_RECORDS)
+    def test_out_of_range_witness_rejected(self, tmp_path, record):
+        # a recorded least word becomes the witness and its counts are summed,
+        # so both are checked on load
         path = tmp_path / "scan.ckpt"
         search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path))
         lines = path.read_text().splitlines(keepends=True)
-        lines.insert(2, "11 9,9,9,9 7 1 1,1,2,3,1,2,1,3,3,1,4\n")
+        lines.insert(2, record + "\n")
         path.write_text("".join(lines))
         with pytest.raises(DomainError, match="line 3 is malformed"):
             search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path))
+
+    @pytest.mark.parametrize("record", LYING_RECORDS.values(), ids=LYING_RECORDS)
+    def test_lying_last_record_cut(self, tmp_path, record):
+        path = tmp_path / "scan.ckpt"
+        search_minimal(SearchConfig(n=3, k=3, node_budget=300, checkpoint_path=path))
+        intact = path.read_text()
+        with path.open("a") as fh:
+            fh.write(record + "\n")
+        resumed = search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path))
+        assert resumed == search_minimal(SearchConfig(n=3, k=3))
+        assert path.read_text().startswith(intact)
+        assert record not in path.read_text()
 
     def test_verify_shares_find_checkpoint(self, tmp_path):
         path = tmp_path / "scan.ckpt"

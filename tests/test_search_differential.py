@@ -8,9 +8,12 @@ import pytest
 from crucialis.cruciality import is_crucial
 from crucialis.powers import suffix_abelian_power
 from crucialis.search import (
+    _BRANCH_DEPTH,
     EnumerateAllCrucialAtLength,
     SearchConfig,
     VerifyNoneBelow,
+    _branches,
+    _walk,
     enumerate_crucial,
     search_minimal,
     verify_none_below,
@@ -131,3 +134,33 @@ def test_longest_completing_suffix_is_crucial_residue_word(n, k):
             assert is_crucial(Word(letters[L - longest :], n), k)
             checked += 1
     assert checked > 0
+
+
+WALK_CELLS = [(2, 3), (3, 3), (2, 4), (4, 3), (3, 4), (2, 5)]
+
+
+@pytest.mark.parametrize("n,k", WALK_CELLS)
+@pytest.mark.parametrize("reduction", [True, False])
+def test_branch_walks_partition_the_root_walk(n, k, reduction):
+    """A walk below a branch prefix counts only the appends below it: the branch
+    split plus its branch walks is the one root walk, nodes and hits alike, and
+    a branch's node cap bounds exactly those appends."""
+    split = 0
+    for L in range(k - 1, 16, k):
+        nodes, hits, tripped = _walk(n, k, L, (), reduction, L, None, None)
+        assert not tripped
+        prefixes, enum_nodes = _branches(n, k, min(_BRANCH_DEPTH, L), L, reduction)
+        total, joined = enum_nodes, []
+        for prefix in prefixes:
+            below, found, tripped = _walk(n, k, L, prefix, reduction, L, None, None)
+            assert not tripped
+            assert all(r[: len(prefix)] == prefix for r in found)
+            total += below
+            joined += found
+            for cap in {0, 1, below // 2, below - 1, below, below + 1} - {-1}:
+                capped, _, tripped = _walk(n, k, L, prefix, reduction, L, cap, None)
+                assert tripped == (below > cap), (L, prefix, cap)
+                assert capped == (cap + 1 if tripped else below), (L, prefix, cap)
+        assert (total, joined) == (nodes, hits), L
+        split += len(prefixes) > 1
+    assert split > 0

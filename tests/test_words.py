@@ -121,7 +121,7 @@ class TestParseRender:
         w = parse_word("121", alphabet_size=4)
         assert w.alphabet_size == 4
 
-    @pytest.mark.parametrize("text", ["1021", "12a", "0", "-1 2"])
+    @pytest.mark.parametrize("text", ["1021", "12a", "0", "-1 2", "1²1", "1٣1"])
     def test_parse_rejects_bad_letters(self, text):
         with pytest.raises(ParseError):
             parse_word(text)
