@@ -29,28 +29,55 @@ completed as the prefix grows. A prefix of length m whose uncompleted
 letters outnumber the slots #{t in (m, L] : t = k-1 (mod k)} cannot grow
 into a crucial word of length L. (c) cuts every such prefix.
 
-(c) Determined slots. Let s = kb-1 <= L be a slot after a prefix of length
-m. Once m >= 2b-1, P[b-1] and P[2b-1] are fixed, so only the letter named by
-P[2b-1] - 2*P[b-1] can ever complete at s: the slot is *determined*. The
-blocks j with jb-1 <= m are fixed as well. If one of them (3 <= j < k)
-differs from block 2, nothing can complete at s: the slot is dead. Take a
-crucial word of length L that extends the prefix. Each letter x that the
-prefix leaves uncompleted is completed at a slot in (m, L], a different slot
-for each letter. If that slot is determined, it is live and names x. So the
-uncompleted letters that no live determined slot after m names are completed
-at slots s = kb-1 with 2b-1 > m, and there are max(0, (L+1)//k - (m+1)//2)
-of those. A prefix whose unnamed uncompleted letters outnumber them has no
-crucial extension of length L, and it is cut. At most one letter is named
-per determined slot, so this cut includes the count of (b). At k = 2,
-2b-1 = kb-1: no slot is determined before it is reached, and (c) is the
-count of (b). A leaf of length L has no slot after it, so every leaf that
-survives has all n letters completed. Every leaf reached is crucial, and no
-leaf test is run.
+(c) Slot matching. Let t be the length of a prefix, so P[0..t] are fixed,
+and take a crucial word of length L that extends it. Each letter x that the
+prefix leaves uncompleted is completed at a slot s = kb-1 in (t, L], a
+different slot for each letter. So the uncompleted letters can be matched,
+one slot each, into the slots after t that admit them. Letter x completes at
+s only if block 2, P[2b-1] - P[b-1], equals block 1, P[b-1] + e_x, and every
+block j, P[jb-1] - P[(j-1)b-1] for 3 <= j <= k, equals block 2. Counts only
+grow, so a block that is not finished at t already holds its part so far.
+Each slot after t is of one of three kinds.
 
-The scan keeps this state along its path. A slot is named at depth 2b-1,
-can die only at the depths jb-1, 3 <= j < k, and leaves the future at depth
-kb-1, where it completes its letter if block k matches too. No other depth
-changes the count, so the cut is tested only at these depths.
+(i) Free, b-1 >= t: P[b-1] is not fixed, and the slot admits every letter.
+
+(ii) Half determined, b-1 < t < 2b-1: block 2 will hold P[t] - P[b-1], so
+x can complete only if P[t] - 2*P[b-1] <= e_x in every lane. If no lane is
+positive the slot admits every letter; if one lane is 1 and no other lane
+is positive it admits only that letter; otherwise it admits none.
+
+(iii) Determined, 2b-1 <= t < kb-1: only the letter named by P[2b-1] -
+2*P[b-1] can complete at s, and none if that is no unit vector. The slot
+is dead, and admits none, once a finished block j >= 3 differs from block
+2, or once the block in progress, (j-1)b-1 < t < jb-1, exceeds block 2 in
+some lane.
+
+Every slot thus admits all letters, one letter, or none, and for such sets
+the matching count is exact. Call a letter open when it is uncompleted and
+no one-letter slot admits it. A matching sends the open letters to distinct
+slots that admit every letter. Conversely, when the open letters are no
+more than those slots, they can go there, and each other uncompleted letter
+to a one-letter slot of its own, since such a slot admits one letter only.
+A prefix whose open letters outnumber the slots that admit every letter
+has no crucial extension of length L, and it is cut. Counting every slot as
+free is the count of (b), so (c) includes it. At k = 2, 2b-1 = kb-1: no
+slot is determined before it is reached, and (c) reads free and half
+determined slots only. A leaf of length L has no slot after it, so every
+leaf that survives has all n letters completed. Every leaf reached is
+crucial, and no leaf test is run.
+
+The scan keeps part of this state along its path. A slot is named at depth
+2b-1, can die at the depths jb-1, 3 <= j < k, where a block finishes, and
+leaves the future at depth kb-1, where it completes its letter if block k
+matches too. Only these depths change the number of uncompleted letters
+that no live named slot names, or the number of slots with 2b-1 > t, and
+comparing the two is the cut with every half determined slot free and every
+block in progress fitting. The cut is tested at every depth, but the half
+determined slots and the blocks in progress are read only when those
+letters plus the slots with a block in progress outnumber the free slots:
+each block in progress kills at most one slot, which unnames at most one
+letter, so otherwise the matching exists. A slot with b-1 = t counts as
+free: P[t] is the count being written at depth t.
 
 Symmetry reduction restricts the scan to canonical R, whose letters are named
 in order of first occurrence in R (letter i+1 may only appear after letter i
@@ -192,27 +219,37 @@ class SearchResult:
     crucial_words_found: int
 
 
+_LANE = _SHIFT + 1  # the walk's lane width: one bit over a count, for signed differences
+
+
 @lru_cache(maxsize=None)
 def _lanes(n: int) -> tuple[tuple[int, ...], tuple[int, ...], dict[int, int], int, int]:
     """Packed-count constants for n letters: the unit vector and the top lane
     bit of each letter (index 0 stands for no letter and holds 0), the letter
-    of each unit vector, all top bits, and 2^(_SHIFT-1) - 1 in every lane."""
-    unit = (0,) + tuple(1 << ((c - 1) * _SHIFT) for c in range(1, n + 1))
-    bit = tuple(u << (_SHIFT - 1) for u in unit)
+    of each unit vector, all top bits, and 2^(_LANE-1) - 1 in every lane.
+
+    Counts stay below 2^_SHIFT, so full + u - v keeps every lane of u - v
+    apart, with the lane's top bit set exactly where u >= v."""
+    unit = (0,) + tuple(1 << ((c - 1) * _LANE) for c in range(1, n + 1))
+    bit = tuple(u << (_LANE - 1) for u in unit)
     letter_of = {unit[c]: c for c in range(1, n + 1)}
     return unit, bit, letter_of, sum(bit), sum(bit) - sum(unit)
 
 
 @lru_cache(maxsize=64)
 def _slot_events(k: int, L: int) -> tuple:
-    """The completion-slot events of each depth t = 0..L of a scan to length L.
+    """The completion slots of each depth t = 1..L of a scan to length L.
 
-    Entry t is None when no slot changes at t, else (cap, named, reached,
-    checks): cap counts the slots still undetermined after t, named is the
-    slot determined at t = 2b-1, reached the slot with t = kb-1 (k >= 3; at
-    k = 2 a slot is reached as it is determined), and checks lists the (b, j)
-    whose block j ends at t = jb-1, 3 <= j < k. Slots are named by their
-    block length b, and 0 stands for none.
+    Entry t is (events, cap, doubtful, free, half, prog). Slots are named by
+    their block length b, and 0 stands for none. events is None when the
+    named counts stay as they are at t, else (named, reached, checks): named
+    is the slot determined at t = 2b-1, reached the slot with t = kb-1 (k >= 3;
+    at k = 2 a slot is reached as it is determined), and checks lists the
+    (b, j) whose block j ends at t = jb-1, 3 <= j < k. free counts the slots
+    with b-1 >= t, half lists b-1 for the half determined slots, b-1 < t <
+    2b-1, and prog lists b*k + j for the determined slots whose block j+1 is
+    in progress, jb-1 < t < (j+1)b-1 < kb-1. cap = free + len(half) counts the
+    slots with 2b-1 > t, and doubtful = free - len(prog).
     """
     B = (L + 1) // k
     named = {2 * b - 1: b for b in range(1, B + 1)}
@@ -221,12 +258,20 @@ def _slot_events(k: int, L: int) -> tuple:
     for b in range(1, B + 1):
         for j in range(3, k):
             checks.setdefault(j * b - 1, []).append((b, j))
-    return tuple(
-        (max(0, B - (t + 1) // 2), named.get(t, 0), reached.get(t, 0), tuple(checks.get(t, ())))
-        if t in named or t in reached or t in checks
-        else None
-        for t in range(L + 1)
-    )
+    entries = []
+    for t in range(L + 1):
+        ev = (named.get(t, 0), reached.get(t, 0), tuple(checks.get(t, ())))
+        half = tuple(b - 1 for b in range(1, B + 1) if b - 1 < t < 2 * b - 1)
+        prog = tuple(
+            b * k + (t + 1) // b
+            for b in range(1, B + 1)
+            if 2 * b - 1 < t < k * b - 1 and (t + 1) % b
+        )
+        free = max(0, B - t)
+        entries.append(
+            (ev if any(ev) else None, free + len(half), free - len(prog), free, half, prog)
+        )
+    return tuple(entries)
 
 
 @lru_cache(maxsize=None)
@@ -256,19 +301,22 @@ def _walk(
     appends below the prefix count.
 
     Along the path, done marks the completed letters and named counts, lane
-    by lane, the live determined future slots that name each letter; a slot's
-    letter is kept in S[b*k + j] once it has passed block j. The bit of
-    letter x sits at the top of its lane, so (named + fill) & full marks the
-    letters named at least once.
+    by lane, the determined future slots that name each letter and whose
+    finished blocks match; a slot's letter is kept in S[b*k + j] once it has
+    passed block j, and G[b*k + j] holds block 2 plus P[jb-1] plus full, the
+    most block j+1 may reach. The bit of letter x sits at the top of its
+    lane, so (named + fill) & full marks the letters named at least once.
     """
     if n > (L + 1) // k:
         return 0, [], False  # fewer slots than letters: no word completes them all
     unit, bit, letter_of, full, fill = _lanes(n)
+    top = _LANE - 1
     events = _slot_events(k, L)
     choices = _choices(n, reduction)
     forced = [(a,) for a in prefix] + [()] * (stop - len(prefix))
     P = [0] * (L + 1)
     S = [0] * (((L + 1) // k + 1) * k)
+    G = [0] * len(S)
     word = [0] * L
     nodes = -len(prefix)
     tripped = False
@@ -282,11 +330,15 @@ def _walk(
         t = m + 1
         pm = P[m]
         blocks = range(1, t // k + 1)
-        ev = events[t]
-        if ev is not None:
-            cap, nb, rb, checks = ev
+        ev, cap, doubtful, free, half, prog = events[t]
+        if ev is None:  # the counts stand as the parent left them
+            d, c = done, named
+            recount = d != full and (full ^ (d | (c + fill) & full)).bit_count() > doubtful
+        else:
+            nb, rb, checks = ev
             if nb:
                 nbase = 2 * P[nb - 1]
+                nceil = full - P[nb - 1]
                 nslot = nb * k + 2
             if rb:  # the slot leaves the future; it completes its letter if block k matches
                 rx = S[rb * k + k - 1]
@@ -297,7 +349,9 @@ def _walk(
             for b, j in checks:  # assume the slot dies; a match revives it
                 x = S[b * k + j - 1]
                 named -= unit[x]
-                live.append((P[t - b] + P[2 * b - 1] - P[b - 1], x, b * k + j))
+                block = P[2 * b - 1] - P[b - 1]
+                live.append((P[t - b] + block, x, b * k + j))
+                G[b * k + j] = P[t - b] + 2 * block + full
         for a in forced[m] or choices[seen]:
             nodes += 1
             if node_cap is not None and nodes > node_cap:
@@ -308,18 +362,17 @@ def _walk(
                     tripped = True
                     return
             P[t] = pa = pm + unit[a]
-            d, c = done, named
             if ev is not None:
+                d, c = done, named
                 if k == 2:  # the slot is reached as it is determined; none is named
                     d |= bit[letter_of.get(pa - nbase, 0)]
-                    if (full ^ d).bit_count() > cap:
-                        continue  # too few slots left for the open letters
                 else:
                     if rb and pa == rtarget:
                         d |= rbit
                     if nb:
                         x = letter_of.get(pa - nbase, 0)
                         S[nslot] = x
+                        G[nslot] = 2 * pa + nceil
                         c += unit[x]
                     for target, x, i in live:
                         if pa == target:
@@ -327,8 +380,28 @@ def _walk(
                             c += unit[x]
                         else:
                             S[i] = 0
-                    if (full ^ (d | (c + fill) & full)).bit_count() > cap:
-                        continue  # too few slots left for the open letters none names
+                unnamed = (full ^ (d | (c + fill) & full)).bit_count()
+                if unnamed > cap:
+                    continue  # too few slots left, even if each undetermined one is free
+                recount = d != full and unnamed > doubtful
+            if recount:
+                # the matching count of (c): each letter still open needs a
+                # slot of its own that admits it
+                alls, live_c = free, c
+                for i in prog:
+                    x = S[i]
+                    if x and (G[i] - pa) & full != full:
+                        live_c -= unit[x]  # its block in progress outgrew block 2: dead
+                covered = d | (live_c + fill) & full
+                for h in half:
+                    q = 2 * P[h] + full - pa
+                    miss = full ^ q & full
+                    if not miss:
+                        alls += 1  # admits every letter
+                    elif not miss & (miss - 1) and (q + (miss >> top)) & full == full:
+                        covered |= miss  # admits only the letter of lane miss
+                if (full ^ covered).bit_count() > alls:
+                    continue  # too few slots left for the open letters
             if _suffix_power_from_prefixes(P, t, k, blocks) is not None:
                 continue  # the extension ends in an abelian k-th power
             word[m] = a
@@ -389,7 +462,7 @@ class _Checkpoint:
         self.path = Path(path)
         self.n = cfg.n
         self.header = (
-            f"# crucialis checkpoint v3 n={cfg.n} k={cfg.k} "
+            f"# crucialis checkpoint v4 n={cfg.n} k={cfg.k} "
             f"reduction={int(cfg.symmetry_reduction)} depth={_BRANCH_DEPTH}"
         )
         self.done: dict[tuple[int, tuple[int, ...]], tuple[int, int, tuple[int, ...] | None]] = {}

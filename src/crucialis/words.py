@@ -138,7 +138,7 @@ def parse_word(
     """Parse a word from text.
 
     Compact is a contiguous digit string (letters 1..9); Spaced is
-    whitespace-separated decimal integers. The alphabet defaults to the
+    whitespace-separated ASCII decimal integers. The alphabet defaults to the
     largest letter seen; an explicit alphabet_size may widen it.
     """
     if fmt is WordFormat.COMPACT:
@@ -152,10 +152,10 @@ def parse_word(
     elif fmt is WordFormat.SPACED:
         letters = []
         for tok in text.split():
-            try:
-                v = int(tok)
-            except ValueError:
-                raise ParseError(f"expected an integer letter, got {tok!r}") from None
+            # ASCII digits only: int() also reads '٣', '３', '1_0' and '+2'
+            if not (tok.isascii() and tok.isdigit()):
+                raise ParseError(f"expected an integer letter, got {tok!r}")
+            v = int(tok)
             if v < 1:
                 raise ParseError(f"letters are positive, got {v}")
             letters.append(v)

@@ -58,11 +58,3 @@ def crucial_words(n: int, k: int, L: int, reduction: bool = True) -> list[tuple[
     dfs(0, 0)
     return out
 
-
-def minimal(n: int, k: int, max_length: int) -> tuple[int, tuple[int, ...], int] | None:
-    """(minimal length, lex-least canonical witness, canonical count there)."""
-    for L in range(1, max_length + 1):
-        words = crucial_words(n, k, L)
-        if words:
-            return L, words[0], len(words)
-    return None

@@ -2,8 +2,8 @@
 
 Each test covers one shipped guarantee end to end and prints a single
 ACCEPTANCE line when it holds. The long exhaustive search is opt-in:
-run `pytest -m long` (optionally with CRUCIALIS_LONG_NODE_BUDGET and
-CRUCIALIS_CHECKPOINT_DIR set) to include it.
+run `pytest -m long` (optionally with CRUCIALIS_LONG_NODE_BUDGET,
+CRUCIALIS_LONG_WORKERS and CRUCIALIS_CHECKPOINT_DIR set) to include it.
 """
 
 import os
@@ -184,13 +184,13 @@ def test_routine_exhaustive_minima():
     print("ACCEPTANCE exhaustive minima for squares and cubes on small alphabets: PASS")
 
 
-# Proves the minimum by exhaustive search: 691,205 nodes, about 1.3 s on one
+# Proves the minimum by exhaustive search: 122,988 nodes, about 0.4 s on one
 # core of a 2-vCPU Intel Xeon VM with Python 3.11.
 def test_exhaustive_minimum_four_letter_cubes():
     result = search_minimal(SearchConfig(n=4, k=3, max_length=20))
     assert result.exhaustive
     assert result.minimal_length == 20
-    assert result.nodes_expanded == 691_205
+    assert result.nodes_expanded == 122_988
     assert result.crucial_words_found == 13_960
     assert is_crucial(result.witness, 3)
     assert is_crucial(optimal_small_word(4), 3)
@@ -199,26 +199,44 @@ def test_exhaustive_minimum_four_letter_cubes():
 
 # Certifies that no crucial word for cubes over five letters is shorter than
 # 32, the paper's 9n-13 at n = 5, which the family word E_5 attains:
-# 22,700,376 nodes, about 33 s on one core of a 2-vCPU Intel Xeon VM with
-# Python 3.11 (workers=1, default budget).
+# 817,315 nodes, about 2.6 s on one core of a 2-vCPU Intel Xeon VM with
+# Python 3.11.
+def test_no_five_letter_cube_word_below_32():
+    e5 = construct_family(FamilyId.EN, 5)
+    assert len(e5) == 32 and is_crucial(e5, 3)
+    result = verify_none_below(
+        SearchConfig(n=5, k=3, max_length=31, target_mode=VerifyNoneBelow(32))
+    )
+    assert result.exhaustive
+    assert result.nodes_expanded == 817_315
+    assert result.crucial_words_found == 0
+    assert result.minimal_length is None
+    print("ACCEPTANCE five-letter cube minimum 32, none below certified: PASS")
+
+
+# Certifies that no crucial word for fourth powers over four letters is
+# shorter than 43, the paper's k^2(n-1)-k-1 at n = k = 4, which the family
+# word D_{4,4} attains, so 43 is the minimum: 13,479,305 nodes, about 20 s
+# on one core of a 2-vCPU Intel Xeon VM with Python 3.11 (workers=1, default
+# budget).
 @pytest.mark.long
-def test_no_five_letter_cube_word_below_32(tmp_path):
+def test_no_four_letter_fourth_power_word_below_43(tmp_path):
     budget = int(os.environ.get("CRUCIALIS_LONG_NODE_BUDGET", str(10**10)))
     ckpt_dir = os.environ.get("CRUCIALIS_CHECKPOINT_DIR")
     ckpt = (
-        os.path.join(ckpt_dir, "crucialis-search-n5-k3.ckpt")
+        os.path.join(ckpt_dir, "crucialis-search-n4-k4.ckpt")
         if ckpt_dir
-        else tmp_path / "n5k3.ckpt"
+        else tmp_path / "n4k4.ckpt"
     )
     workers = int(os.environ.get("CRUCIALIS_LONG_WORKERS", "1"))
-    e5 = construct_family(FamilyId.EN, 5)
-    assert len(e5) == 32 and is_crucial(e5, 3)
+    d44 = construct_family(FamilyId.DN_K, 4, 4)
+    assert len(d44) == 43 and is_crucial(d44, 4)
 
     def none_below(limit, node_budget=None):
         return verify_none_below(
             SearchConfig(
-                n=5,
-                k=3,
+                n=4,
+                k=4,
                 max_length=limit - 1,
                 target_mode=VerifyNoneBelow(limit),
                 node_budget=node_budget,
@@ -227,17 +245,21 @@ def test_no_five_letter_cube_word_below_32(tmp_path):
             )
         )
 
-    result = none_below(32, budget)
+    result = none_below(43, budget)
     if result.exhaustive:
+        assert result.nodes_expanded == 13_479_305
         assert result.crucial_words_found == 0
         assert result.minimal_length is None
-        print("ACCEPTANCE five-letter cube minimum 32, none below certified: PASS")
+        print("ACCEPTANCE four-letter fourth-power minimum 43, none below certified: PASS")
     else:
         # budget tripped: certify the weaker absence claim instead
-        short = none_below(29)
+        short = none_below(39)
         assert short.exhaustive
         assert short.crucial_words_found == 0
-        print("ACCEPTANCE five-letter cube minimum: budget tripped, none below 29 certified: PASS")
+        print(
+            "ACCEPTANCE four-letter fourth-power minimum: budget tripped, "
+            "none below 39 certified: PASS"
+        )
 
 
 SYNTHETIC_VIOLATIONS = [

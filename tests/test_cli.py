@@ -147,6 +147,16 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("text", ["1 ٣ 1", "1 ３ 1", "1_0", "+2"])
+    def test_non_ascii_digit_token_is_a_usage_error(self, text):
+        # int() reads each of these as a number
+        code, out, err = invoke(
+            ["check", "--what", "free", "--k", "2", "--spaced", "--word", text]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_explicit_alphabet_widens(self):
         # letter 3 declared but absent: appending it never creates a suffix power
         code, out, _ = invoke(
@@ -252,7 +262,7 @@ class TestSearch:
         code, out, _ = invoke(
             [
                 "search", "--n", "3", "--k", "3", "--mode", "none-below",
-                "--length", "11", "--node-budget", "10",
+                "--length", "11", "--node-budget", "4",
             ]
         )
         assert code == 3
@@ -278,7 +288,7 @@ class TestSearch:
         assert code == 0
         ckpt = tmp_path / "crucialis-search-n2-k3.ckpt"
         assert ckpt.exists()
-        assert ckpt.read_text().startswith("# crucialis checkpoint v3 n=2 k=3")
+        assert ckpt.read_text().startswith("# crucialis checkpoint v4 n=2 k=3")
 
 
 class TestTable:

@@ -92,7 +92,7 @@ class TestDeterminism:
         assert search_minimal(cfg) == search_minimal(cfg)
 
     def test_repeat_runs_identical_under_budget(self):
-        cfg = SearchConfig(n=3, k=3, node_budget=500)
+        cfg = SearchConfig(n=3, k=3, node_budget=300)
         first = search_minimal(cfg)
         assert not first.exhaustive
         assert first == search_minimal(cfg)
@@ -185,7 +185,7 @@ class TestEnumerate:
 
     def test_budget_trip_raises_after_partial_yield(self):
         cfg = SearchConfig(
-            n=3, k=3, target_mode=EnumerateAllCrucialAtLength(11), node_budget=500
+            n=3, k=3, target_mode=EnumerateAllCrucialAtLength(11), node_budget=300
         )
         got = []
         with pytest.raises(BudgetExhaustedError):
@@ -251,9 +251,9 @@ class TestBudgets:
 
     def test_budget_is_the_most_nodes_a_proven_scan_may_spend(self):
         full = search_minimal(SearchConfig(n=3, k=3))
-        assert full.exhaustive and full.nodes_expanded == 523
-        assert search_minimal(SearchConfig(n=3, k=3, node_budget=523)) == full
-        short = search_minimal(SearchConfig(n=3, k=3, node_budget=522))
+        assert full.exhaustive and full.nodes_expanded == 325
+        assert search_minimal(SearchConfig(n=3, k=3, node_budget=325)) == full
+        short = search_minimal(SearchConfig(n=3, k=3, node_budget=324))
         assert not short.exhaustive
         assert short.minimal_length == 11
 
@@ -268,25 +268,25 @@ class TestBudgets:
 
     def test_tripped_run_spends_at_most_budget_plus_one(self):
         # each branch is capped at the budget left, not the whole budget
-        for budget in (1, 17, 100, 300, 522):
+        for budget in (1, 17, 100, 300, 324):
             result = search_minimal(SearchConfig(n=3, k=3, node_budget=budget))
             assert not result.exhaustive
             assert result.nodes_expanded <= budget + 1
-        cfg = SearchConfig(n=4, k=3, target_mode=VerifyNoneBelow(17), node_budget=100)
+        cfg = SearchConfig(n=4, k=3, target_mode=VerifyNoneBelow(17), node_budget=50)
         result = verify_none_below(cfg)
         assert not result.exhaustive
-        assert result.nodes_expanded <= 101
+        assert result.nodes_expanded <= 51
 
     def test_parallel_matches_sequential_under_tripping_budget(self):
-        for budget in (100, 300, 522):
+        for budget in (100, 300, 324):
             seq = search_minimal(SearchConfig(n=3, k=3, node_budget=budget))
             par = search_minimal(SearchConfig(n=3, k=3, node_budget=budget, workers=2))
             assert not seq.exhaustive
             assert par == seq
         mode = VerifyNoneBelow(17)
-        seq = verify_none_below(SearchConfig(n=4, k=3, target_mode=mode, node_budget=100))
+        seq = verify_none_below(SearchConfig(n=4, k=3, target_mode=mode, node_budget=50))
         par = verify_none_below(
-            SearchConfig(n=4, k=3, target_mode=mode, node_budget=100, workers=2)
+            SearchConfig(n=4, k=3, target_mode=mode, node_budget=50, workers=2)
         )
         assert not seq.exhaustive
         assert par == seq
@@ -297,7 +297,7 @@ class TestBudgets:
         assert result.minimal_length is None
 
     def test_verify_under_budget_is_not_certified(self):
-        cfg = SearchConfig(n=3, k=3, target_mode=VerifyNoneBelow(11), node_budget=10)
+        cfg = SearchConfig(n=3, k=3, target_mode=VerifyNoneBelow(11), node_budget=4)
         result = verify_none_below(cfg)
         assert not result.exhaustive
         assert result.crucial_words_found == 0
@@ -332,17 +332,19 @@ class TestCheckpoints:
             search_minimal(SearchConfig(n=2, k=2, checkpoint_path=path))
 
     def test_earlier_format_rejected_and_not_merged(self, tmp_path):
-        # v2 files hold per-branch counts of the scan without the determined-slot prune
+        # v2 files hold per-branch counts of the scan without the determined-slot
+        # prune, v3 files those of the scan without the slot matching
         fresh = tmp_path / "fresh.ckpt"
         search_minimal(SearchConfig(n=3, k=3, checkpoint_path=fresh))
         header = fresh.read_text().splitlines()[0]
-        assert header.startswith("# crucialis checkpoint v3 ")
-        path = tmp_path / "scan.ckpt"
-        v2 = header.replace(" v3 ", " v2 ") + "\n11 1,1,2,3 7 1 1,1,2,3,1,2,1,3,3,1,1\n"
-        path.write_text(v2)
-        with pytest.raises(DomainError, match="different search"):
-            search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path))
-        assert path.read_text() == v2
+        assert header.startswith("# crucialis checkpoint v4 ")
+        for old in ("v2", "v3"):
+            path = tmp_path / f"{old}.ckpt"
+            text = header.replace(" v4 ", f" {old} ") + "\n11 1,1,2,3 7 1 1,1,2,3,1,2,1,3,3,1,1\n"
+            path.write_text(text)
+            with pytest.raises(DomainError, match="different search"):
+                search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path))
+            assert path.read_text() == text
 
     def test_torn_tail_line_tolerated(self, tmp_path):
         path = tmp_path / "scan.ckpt"

@@ -23,13 +23,24 @@ from crucialis.words import Word
 import forward_search
 from test_search import KNOWN_MINIMA
 
-MINIMA_CELLS = [(n, k) for n, k, _, _ in KNOWN_MINIMA] + [(2, 4), (2, 5)]
-ENUM_CELLS = [(2, 3), (3, 2), (3, 3), (2, 4)]
+MINIMA_CELLS = [(n, k) for n, k, _, _ in KNOWN_MINIMA] + [(5, 2), (2, 4), (2, 5)]
+ENUM_CELLS = [(2, 3), (3, 2), (4, 2), (3, 3), (2, 4)]
 ENUM_LENGTHS = range(1, 12)
 # (n, k, top length) for cells with larger minima; (2, 5) has crucial words
-# from length 14 on, and the determined-slot prune acts at k >= 3 only
-FAR_CELLS = [(4, 3, 11), (3, 4, 11), (2, 5, 16), (2, 6, 16), (3, 5, 11)]
-PLAIN_SCAN_TOO_SLOW = {(4, 3)}  # about 20 s to length 11 without reduction
+# from length 14 on, and the slot-matching cut reads half determined slots at
+# every k, so the squares are here too
+FAR_CELLS = [
+    (4, 2, 13),
+    (5, 2, 13),
+    (4, 3, 11),
+    (3, 4, 11),
+    (2, 5, 16),
+    (2, 6, 16),
+    (3, 5, 11),
+]
+# without reduction the forward scan takes about 20 s to length 11 at (4, 3)
+# and at (5, 2), and 3 s to length 13 at (4, 2)
+PLAIN_SCAN_TOO_SLOW = {(4, 2), (5, 2), (4, 3)}
 
 
 @functools.cache
@@ -39,7 +50,12 @@ def oracle_words(n, k, L, reduction=True):
 
 @functools.cache
 def oracle_minimal(n, k):
-    return forward_search.minimal(n, k, 20)
+    """(minimal length, lex-least canonical witness, canonical count there)."""
+    for L in range(1, 21):
+        words = oracle_words(n, k, L)
+        if words:
+            return L, words[0], len(words)
+    return None
 
 
 def renamings(words, n):
@@ -62,7 +78,8 @@ def test_minimum_matches_forward_scan(n, k, reduction):
     assert result.exhaustive
     assert result.minimal_length == length
     assert result.witness.letters == witness
-    assert result.crucial_words_found == len(oracle_words(n, k, length, reduction))
+    assert is_crucial(result.witness, k)
+    assert result.crucial_words_found == len(expected_words(n, k, length, reduction))
 
 
 @pytest.mark.parametrize("n,k", MINIMA_CELLS)
@@ -87,8 +104,9 @@ def test_enumeration_matches_forward_scan(n, k, reduction):
         cfg = SearchConfig(
             n=n, k=k, target_mode=EnumerateAllCrucialAtLength(L), symmetry_reduction=reduction
         )
-        got = [w.letters for w in enumerate_crucial(cfg)]
-        assert got == oracle_words(n, k, L, reduction), L
+        words = list(enumerate_crucial(cfg))
+        assert all(is_crucial(w, k) for w in words), L
+        assert [w.letters for w in words] == oracle_words(n, k, L, reduction), L
 
 
 @pytest.mark.parametrize("n,k,top", FAR_CELLS)
@@ -98,8 +116,9 @@ def test_enumeration_past_small_minima_matches_forward_scan(n, k, top, reduction
         cfg = SearchConfig(
             n=n, k=k, target_mode=EnumerateAllCrucialAtLength(L), symmetry_reduction=reduction
         )
-        got = [w.letters for w in enumerate_crucial(cfg)]
-        assert got == expected_words(n, k, L, reduction), L
+        words = list(enumerate_crucial(cfg))
+        assert all(is_crucial(w, k) for w in words), L
+        assert [w.letters for w in words] == expected_words(n, k, L, reduction), L
 
 
 @pytest.mark.parametrize("n,k", ENUM_CELLS)
@@ -136,7 +155,7 @@ def test_longest_completing_suffix_is_crucial_residue_word(n, k):
     assert checked > 0
 
 
-WALK_CELLS = [(2, 3), (3, 3), (2, 4), (4, 3), (3, 4), (2, 5)]
+WALK_CELLS = [(2, 3), (3, 3), (2, 4), (4, 3), (3, 4), (2, 5), (3, 2)]
 
 
 @pytest.mark.parametrize("n,k", WALK_CELLS)

@@ -121,7 +121,9 @@ class TestParseRender:
         w = parse_word("121", alphabet_size=4)
         assert w.alphabet_size == 4
 
-    @pytest.mark.parametrize("text", ["1021", "12a", "0", "-1 2", "1²1", "1٣1"])
+    @pytest.mark.parametrize(
+        "text", ["1021", "12a", "0", "-1 2", "1²1", "1٣1", "1 ٣ 1", "1 ３ 1", "1_0", "+2"]
+    )
     def test_parse_rejects_bad_letters(self, text):
         with pytest.raises(ParseError):
             parse_word(text)
