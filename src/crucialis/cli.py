@@ -239,6 +239,8 @@ def _cmd_search(args, out, err) -> int:
         return EXIT_OK if found else EXIT_NEGATIVE
 
     if args.mode == "none-below":
+        # --max-length bounds min mode only; the certificate needs lengths below the target
+        common["max_length"] = max(args.max_length, args.length - 1)
         cfg = SearchConfig(
             target_mode=VerifyNoneBelow(args.length),
             checkpoint_path=_checkpoint_path(args.n, args.k),
@@ -246,26 +248,16 @@ def _cmd_search(args, out, err) -> int:
         )
         res = verify_none_below(cfg)
         if not res.exhaustive:
-            print(
-                f"RESULT: none_below={args.length} certified=unknown exhaustive=false",
-                file=out,
-            )
-            print(f"nodes: {res.nodes_expanded}", file=out)
-            return EXIT_BUDGET
-        if res.crucial_words_found == 0:
-            print(
-                f"RESULT: none_below={args.length} certified=true exhaustive=true",
-                file=out,
-            )
-            print(f"nodes: {res.nodes_expanded}", file=out)
-            return EXIT_OK
-        print(
-            f"RESULT: none_below={args.length} certified=false "
-            f"minimal_length={res.minimal_length} witness={_result_word(res.witness)}",
-            file=out,
-        )
+            verdict, code = "certified=unknown exhaustive=false", EXIT_BUDGET
+        elif res.crucial_words_found == 0:
+            verdict, code = "certified=true exhaustive=true", EXIT_OK
+        else:
+            wit = _result_word(res.witness)
+            verdict = f"certified=false minimal_length={res.minimal_length} witness={wit}"
+            code = EXIT_NEGATIVE
+        print(f"RESULT: none_below={args.length} {verdict}", file=out)
         print(f"nodes: {res.nodes_expanded}", file=out)
-        return EXIT_NEGATIVE
+        return code
 
     # enumerate
     cfg = SearchConfig(target_mode=EnumerateAllCrucialAtLength(args.length), **common)

@@ -87,12 +87,14 @@ to W-canonical form: reverse it, then rename by first occurrence in W. That
 form is the lex-least member of its class. Without the reduction a hit maps
 to its plain reverse.
 
-Find and verify modes scan the residue lengths upward. At the first length
-with hits they finish the whole length and return the least mapped hit. This
-is the lex-least canonical crucial word of the minimal length, the witness a
-forward scan reports. crucial_words_found counts every crucial word scanned
-at that length: every canonical word under symmetry reduction, every word
-without it. Enumeration maps and sorts all hits of its length.
+One driver runs every mode. Find and verify scan the residue lengths upward,
+enumeration its one length, and the first length with hits is finished whole.
+The walk maps each hit as it reaches it. Find and verify keep only the count
+and the least mapped hit, so their memory does not grow with the hits. The
+least is the lex-least canonical crucial word of the minimal length, the
+witness a forward scan reports. crucial_words_found counts every crucial word
+scanned at that length: every canonical word under symmetry reduction, every
+word without it. Enumeration keeps every hit and sorts them.
 
 The tree is split at a fixed shallow depth into branches, prefixes of R.
 A branch walk descends through its prefix with the same DFS, one forced
@@ -137,7 +139,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .errors import BudgetExhaustedError, DomainError
 from .powers import _require_exponent, _suffix_power_from_prefixes
@@ -186,6 +188,9 @@ class SearchConfig:
         if not 1 <= self.n <= MAX_ALPHABET:
             raise DomainError(f"alphabet size must be in 1..{MAX_ALPHABET}, got {self.n}")
         _require_exponent(self.k)
+        if isinstance(self.target_mode, (EnumerateAllCrucialAtLength, VerifyNoneBelow)):
+            if not 1 <= self.target_mode.length < (1 << _SHIFT):
+                raise DomainError(f"target length must be in 1..{(1 << _SHIFT) - 1}")
         if not 1 <= self.max_length < (1 << _SHIFT):
             raise DomainError(f"max_length must be in 1..{(1 << _SHIFT) - 1}")
         if self.node_budget is not None and self.node_budget < 1:
@@ -194,9 +199,6 @@ class SearchConfig:
             raise DomainError("time_budget must be positive")
         if self.workers < 1:
             raise DomainError("workers must be at least 1")
-        if isinstance(self.target_mode, (EnumerateAllCrucialAtLength, VerifyNoneBelow)):
-            if self.target_mode.length < 1:
-                raise DomainError("target length must be positive")
 
 
 @dataclass(frozen=True)
@@ -289,16 +291,17 @@ def _walk(
     stop: int,
     node_cap: int | None,
     deadline: float | None,
-) -> tuple[int, list[tuple[int, ...]], bool]:
+    tally: _Tally,
+) -> tuple[int, bool]:
     """Depth-first scan of free R-words of length L that extend `prefix`.
 
-    Walks down to `stop` letters and returns the nodes expanded (one per
-    attempted letter append below the prefix), the surviving words of `stop`
-    letters in lex order, and whether a budget tripped. With stop == L every
-    word returned is crucial once reversed. The prefix must be one the same
-    scan reaches, as _branches returns them: the walk descends through it one
-    forced letter per depth, and nodes starts at -len(prefix), so only the
-    appends below the prefix count.
+    Walks down to `stop` letters, adds the surviving words of `stop` letters
+    to the tally in lex order, and returns the nodes expanded (one per
+    attempted letter append below the prefix) and whether a budget tripped.
+    With stop == L every word added is crucial once reversed. The prefix must
+    be one the same scan reaches, as _branches returns them: the walk descends
+    through it one forced letter per depth, and nodes starts at -len(prefix),
+    so only the appends below the prefix count.
 
     Along the path, done marks the completed letters and named counts, lane
     by lane, the determined future slots that name each letter and whose
@@ -308,7 +311,7 @@ def _walk(
     lane, so (named + fill) & full marks the letters named at least once.
     """
     if n > (L + 1) // k:
-        return 0, [], False  # fewer slots than letters: no word completes them all
+        return 0, False  # fewer slots than letters: no word completes them all
     unit, bit, letter_of, full, fill = _lanes(n)
     top = _LANE - 1
     events = _slot_events(k, L)
@@ -317,15 +320,15 @@ def _walk(
     P = [0] * (L + 1)
     S = [0] * (((L + 1) // k + 1) * k)
     G = [0] * len(S)
-    word = [0] * L
+    word = [0] * stop
+    leaf = tally.leaf
     nodes = -len(prefix)
     tripped = False
-    out: list[tuple[int, ...]] = []
 
     def dfs(m: int, seen: int, done: int, named: int) -> None:
         nonlocal nodes, tripped
         if m == stop:
-            out.append(tuple(word[:m]))
+            leaf(word)
             return
         t = m + 1
         pm = P[m]
@@ -413,16 +416,36 @@ def _walk(
     # dfs reaches itself through its closure; cutting that cycle lets reference
     # counting free the walk's state, instead of leaving it to the cyclic GC
     dfs = None
-    return nodes, out, tripped
+    return nodes, tripped
 
 
-def _w_form(r: tuple[int, ...], reduction: bool) -> tuple[int, ...]:
-    """The word W whose reverse is the hit r, W-canonical under reduction."""
-    w = r[::-1]
-    if not reduction:
-        return w
+def _w_canonical(r: list[int]) -> tuple[int, ...]:
+    """The word W whose reverse is r, renamed by first occurrence in W."""
     names: dict[int, int] = {}
-    return tuple(names.setdefault(a, len(names) + 1) for a in w)
+    return tuple(names.setdefault(a, len(names) + 1) for a in reversed(r))
+
+
+@dataclass
+class _Tally:
+    """The words a scan finds: how many, the least, and each one if `words`
+    is a list. A walk adds each leaf it reaches, mapped by `form`; a search
+    adds each branch's record. Find and verify keep no list."""
+
+    words: list[tuple[int, ...]] | None = None
+    form: Callable[[list[int]], tuple[int, ...]] = tuple
+    count: int = 0
+    least: tuple[int, ...] | None = None
+
+    def add(self, count: int, least: tuple[int, ...] | None, words=()) -> None:
+        self.count += count
+        if least is not None and (self.least is None or least < self.least):
+            self.least = least
+        if self.words is not None:
+            self.words.extend(words)
+
+    def leaf(self, letters: list[int]) -> None:
+        w = self.form(letters)
+        self.add(1, w, (w,))
 
 
 def _branches(
@@ -434,20 +457,24 @@ def _branches(
     per attempted letter append. The walk is the deep scan's, stopped early;
     a count over node_cap means the cap tripped and the prefixes are partial.
     """
-    nodes, prefixes, _ = _walk(n, k, full_length, (), reduction, depth, node_cap, None)
+    prefixes: list[tuple[int, ...]] = []
+    nodes, _ = _walk(n, k, full_length, (), reduction, depth, node_cap, None, _Tally(prefixes))
     return prefixes, nodes
 
 
-def _scan_branch(task: tuple) -> tuple[int, tuple[tuple[int, ...], ...], bool]:
+def _scan_branch(task: tuple) -> tuple[int, int, tuple[int, ...] | None, list | None, bool]:
     """Depth-first scan below one branch prefix of R.
 
-    task = (n, k, L, prefix, reduction, node_cap, deadline). Returns the
-    nodes expanded below the prefix, the crucial words found in W form, in
-    no set order, and whether a budget tripped mid-branch.
+    task = (n, k, L, prefix, reduction, keep, node_cap, deadline). Returns the
+    branch's checkpoint record (nodes expanded below the prefix, crucial
+    words found, the least of them in W form), the words in W form if keep
+    else None, and whether a budget tripped mid-branch.
     """
-    n, k, L, prefix, reduction, node_cap, deadline = task
-    nodes, hits, tripped = _walk(n, k, L, prefix, reduction, L, node_cap, deadline)
-    return nodes, tuple(_w_form(r, reduction) for r in hits), tripped
+    n, k, L, prefix, reduction, keep, node_cap, deadline = task
+    form = _w_canonical if reduction else lambda r: tuple(reversed(r))
+    tally = _Tally([] if keep else None, form)
+    nodes, tripped = _walk(n, k, L, prefix, reduction, L, node_cap, deadline, tally)
+    return nodes, tally.count, tally.least, tally.words, tripped
 
 
 class _Checkpoint:
@@ -542,10 +569,7 @@ class _Checkpoint:
         count: int,
         lexmin: tuple[int, ...] | None,
     ) -> None:
-        key = (length, prefix)
-        if key in self.done:
-            return
-        self.done[key] = (nodes, count, lexmin)
+        self.done[(length, prefix)] = (nodes, count, lexmin)
         pw = ",".join(map(str, prefix))
         lw = ",".join(map(str, lexmin)) if lexmin else "-"
         self._append(f"{length} {pw} {nodes} {count} {lw}\n")
@@ -578,15 +602,9 @@ class _Workers:
 
 @dataclass
 class _ScanState:
+    hits: _Tally
     nodes: int = 0
-    words: int = 0
     tripped: bool = False
-    best: tuple[int, ...] | None = None  # least hit in W form
-    keep: list[tuple[int, ...]] | None = None  # every hit, when enumerating
-
-
-def _deadline(cfg: SearchConfig) -> float | None:
-    return time.monotonic() + cfg.time_budget if cfg.time_budget is not None else None
 
 
 def _left(cfg: SearchConfig, state: _ScanState) -> int | None:
@@ -627,8 +645,10 @@ def _scan_length(
     if _spend(cfg, state, enum_nodes):
         return
 
+    keep = state.hits.words is not None
+
     def task(prefix: tuple[int, ...]) -> tuple:
-        return (cfg.n, cfg.k, L, prefix, cfg.symmetry_reduction, _left(cfg, state), deadline)
+        return (cfg.n, cfg.k, L, prefix, cfg.symmetry_reduction, keep, _left(cfg, state), deadline)
 
     recs = [ckpt.get(L, p) if ckpt else None for p in prefixes]
     pending = [p for p, rec in zip(prefixes, recs) if rec is None]
@@ -640,59 +660,51 @@ def _scan_length(
         fresh = (_scan_branch(task(p)) for p in pending)
 
     for prefix, rec in zip(prefixes, recs):
-        found: tuple[tuple[int, ...], ...] = ()
+        words = None
         if rec is None:
-            nodes, found, tripped = next(fresh)
+            nodes, count, least, words, tripped = next(fresh)
             if tripped:
                 _spend(cfg, state, nodes)
                 state.tripped = True
                 return
-            rec = (nodes, len(found), min(found, default=None))
+            rec = (nodes, count, least)
             if ckpt:
                 ckpt.record(L, prefix, *rec)
-        nodes, count, lexmin = rec
+        nodes, count, least = rec
         if _spend(cfg, state, nodes):
             return  # over budget: the branch's words do not count
-        state.words += count
-        if state.keep is not None:
-            state.keep.extend(found)
-        if lexmin is not None and (state.best is None or lexmin < state.best):
-            state.best = lexmin
+        state.hits.add(count, least, words or ())
         if deadline is not None and time.monotonic() > deadline:
             state.tripped = True
             return
 
 
-def _search(cfg: SearchConfig, lengths: range) -> SearchResult:
-    """Scan the residue lengths upward; the first one with hits is minimal."""
+def _search(
+    cfg: SearchConfig, lengths: range, words: list[tuple[int, ...]] | None = None
+) -> SearchResult:
+    """Scan the lengths upward; the first one with hits is minimal. The driver
+    of every mode: only it starts a pool or opens a checkpoint."""
     ckpt = _Checkpoint(cfg.checkpoint_path, cfg) if cfg.checkpoint_path is not None else None
-    deadline = _deadline(cfg)
-    state = _ScanState()
+    deadline = time.monotonic() + cfg.time_budget if cfg.time_budget is not None else None
+    state = _ScanState(_Tally(words))
     workers = _Workers(cfg.workers)
     try:
         for L in lengths:
             _scan_length(cfg, L, state, ckpt, deadline, workers)
-            if state.best is not None:
-                return SearchResult(
-                    minimal_length=L,
-                    witness=_word_of(state.best, cfg.n),
-                    exhaustive=not state.tripped,
-                    nodes_expanded=state.nodes,
-                    crucial_words_found=state.words,
-                )
-            if state.tripped:
+            if state.hits.count or state.tripped:
                 break
     finally:
         # forked workers share the locked file, so they go first
         workers.close()
         if ckpt is not None:
             ckpt.close()
+    least = state.hits.least
     return SearchResult(
-        minimal_length=None,
-        witness=None,
+        minimal_length=L if least is not None else None,  # hits stop the scan at L
+        witness=None if least is None else _word_of(least, cfg.n),
         exhaustive=not state.tripped,
         nodes_expanded=state.nodes,
-        crucial_words_found=state.words,
+        crucial_words_found=state.hits.count,
     )
 
 
@@ -740,13 +752,10 @@ def enumerate_crucial(cfg: SearchConfig) -> Iterator[Word]:
         )
     if cfg.checkpoint_path is not None:
         raise DomainError("checkpointing applies to find and verify modes only")
-    state = _ScanState(keep=[])
-    workers = _Workers(cfg.workers)
-    try:
-        _scan_length(cfg, cfg.target_mode.length, state, None, _deadline(cfg), workers)
-    finally:
-        workers.close()
-    if state.tripped:
-        raise BudgetExhaustedError(f"budget exhausted after {state.nodes} nodes")
-    for letters in sorted(state.keep):
+    L = cfg.target_mode.length
+    words: list[tuple[int, ...]] = []
+    result = _search(cfg, range(L, L + 1), words)
+    if not result.exhaustive:
+        raise BudgetExhaustedError(f"budget exhausted after {result.nodes_expanded} nodes")
+    for letters in sorted(words):
         yield _word_of(letters, cfg.n)

@@ -112,16 +112,15 @@ def parikh(w: Word, start: int, end: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def packed_prefixes(letters: Sequence[int], shift: int | None = None) -> tuple[list[int], int]:
+def packed_prefixes(letters: Sequence[int]) -> tuple[list[int], int]:
     """Prefix Parikh vectors packed into single integers, one lane per letter.
 
-    Lane width defaults to _SHIFT = 16 bits, which is collision-free for words
-    up to 65535 letters; longer words get lanes twice as wide. Returns
-    (prefixes, shift) where prefixes[i] encodes the length-i prefix and block
+    Lanes are _SHIFT = 16 bits wide, which is collision-free for words up to
+    65535 letters; longer words get lanes twice as wide. Returns (prefixes,
+    shift) where prefixes[i] encodes the length-i prefix and block
     comparisons reduce to integer subtraction.
     """
-    if shift is None:
-        shift = _SHIFT if len(letters) < (1 << _SHIFT) else 2 * _SHIFT
+    shift = _SHIFT if len(letters) < (1 << _SHIFT) else 2 * _SHIFT
     p = 0
     out = [0] * (len(letters) + 1)
     for i, a in enumerate(letters):

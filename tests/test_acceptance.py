@@ -262,6 +262,23 @@ def test_no_four_letter_fourth_power_word_below_43(tmp_path):
         )
 
 
+# Proves min(2,8) = 39, attained by the binary word B_8 = (1^4 2)^6 1 2 1^7:
+# 5,833,304 nodes, about 30 s on one core of a 2-vCPU Intel Xeon VM with
+# Python 3.11. Find mode keeps a count and the least of the 1,080,057 crucial
+# words it scans at 39, not the words.
+@pytest.mark.long
+def test_two_letter_eighth_power_minimum_39():
+    b8 = parse_word("11112" * 6 + "12" + "1" * 7)
+    assert len(b8) == 39 and is_crucial(b8, 8)
+    result = search_minimal(SearchConfig(n=2, k=8))
+    assert result.exhaustive
+    assert result.minimal_length == 39
+    assert result.witness.letters == b8.letters
+    assert result.crucial_words_found == 1_080_057
+    assert result.nodes_expanded == 5_833_304
+    print("ACCEPTANCE two-letter eighth-power minimum 39, exhaustive: PASS")
+
+
 SYNTHETIC_VIOLATIONS = [
     (OccurrenceProfile(5, (3, 3, 9, 9)), ViolationTag.PAIR_3_3),
     (OccurrenceProfile(5, (6, 6, 6, 9)), ViolationTag.TRIPLE_6_6_6),

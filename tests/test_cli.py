@@ -268,6 +268,16 @@ class TestSearch:
         assert code == 3
         assert out.splitlines()[0] == "RESULT: none_below=11 certified=unknown exhaustive=false"
 
+    def test_none_below_past_the_default_max_length(self):
+        # --max-length (default 40) bounds min mode only
+        code, out, _ = invoke(
+            ["search", "--n", "2", "--k", "3", "--mode", "none-below", "--length", "45"]
+        )
+        assert code == 1
+        assert out.splitlines()[0] == (
+            "RESULT: none_below=45 certified=false minimal_length=5 witness=12122"
+        )
+
     def test_enumerate_lists_words(self):
         code, out, _ = invoke(
             ["search", "--n", "2", "--k", "3", "--mode", "enumerate", "--length", "5"]

@@ -155,6 +155,30 @@ class TestDeterminism:
         assert proc.stdout.split() == ["False", "None", str(10**7 + 1)]
 
 
+@pytest.mark.long
+def test_find_mode_memory_stays_flat():
+    # find keeps a count and the least hit, not the 158,356 crucial words at
+    # (3,4) = 27, which take about 70 MB of peak RSS when kept. The peak is
+    # the child's VmHWM: ru_maxrss would carry the forked test runner's size
+    # over exec.
+    if not Path("/proc/self/status").exists():
+        pytest.skip("peak RSS is read from /proc/self/status")
+    script = (
+        "from crucialis.search import SearchConfig, search_minimal\n"
+        "r = search_minimal(SearchConfig(n=3, k=4))\n"
+        "hwm = [s for s in open('/proc/self/status') if s.startswith('VmHWM:')]\n"
+        "print(r.minimal_length, r.exhaustive, r.crucial_words_found, hwm[0].split()[1])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(crucialis.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    length, exhaustive, found, peak_kib = proc.stdout.split()
+    assert (length, exhaustive, found) == ("27", "True", "158356")
+    assert int(peak_kib) < 32 * 1024
+
+
 def test_search_leaves_no_cyclic_garbage():
     # reference counting frees each walk's state, so no search waits on a GC pass
     gc.collect()
@@ -474,6 +498,8 @@ class TestConfigValidation:
             dict(n=2, k=3, workers=0),
             dict(n=2, k=3, target_mode=EnumerateAllCrucialAtLength(0)),
             dict(n=2, k=3, target_mode=VerifyNoneBelow(-1)),
+            dict(n=2, k=3, target_mode=EnumerateAllCrucialAtLength(1 << 16)),
+            dict(n=2, k=3, target_mode=VerifyNoneBelow(1 << 16)),
         ],
     )
     def test_rejected(self, kwargs):

@@ -13,6 +13,8 @@ from crucialis.search import (
     SearchConfig,
     VerifyNoneBelow,
     _branches,
+    _scan_branch,
+    _Tally,
     _walk,
     enumerate_crucial,
     search_minimal,
@@ -166,20 +168,38 @@ def test_branch_walks_partition_the_root_walk(n, k, reduction):
     a branch's node cap bounds exactly those appends."""
     split = 0
     for L in range(k - 1, 16, k):
-        nodes, hits, tripped = _walk(n, k, L, (), reduction, L, None, None)
+        hits = []
+        nodes, tripped = _walk(n, k, L, (), reduction, L, None, None, _Tally(hits))
         assert not tripped
         prefixes, enum_nodes = _branches(n, k, min(_BRANCH_DEPTH, L), L, reduction)
         total, joined = enum_nodes, []
         for prefix in prefixes:
-            below, found, tripped = _walk(n, k, L, prefix, reduction, L, None, None)
+            found = []
+            below, tripped = _walk(n, k, L, prefix, reduction, L, None, None, _Tally(found))
             assert not tripped
             assert all(r[: len(prefix)] == prefix for r in found)
             total += below
             joined += found
             for cap in {0, 1, below // 2, below - 1, below, below + 1} - {-1}:
-                capped, _, tripped = _walk(n, k, L, prefix, reduction, L, cap, None)
+                capped, tripped = _walk(n, k, L, prefix, reduction, L, cap, None, _Tally())
                 assert tripped == (below > cap), (L, prefix, cap)
                 assert capped == (cap + 1 if tripped else below), (L, prefix, cap)
         assert (total, joined) == (nodes, hits), L
         split += len(prefixes) > 1
     assert split > 0
+
+
+@pytest.mark.parametrize("n,k", WALK_CELLS)
+@pytest.mark.parametrize("reduction", [True, False])
+def test_count_only_scan_matches_the_kept_hits(n, k, reduction):
+    """Find and verify keep no word of a branch, only its count and least hit:
+    those equal the count and least of the words an enumerating scan keeps."""
+    for L in range(k - 1, 16, k):
+        for prefix in _branches(n, k, min(_BRANCH_DEPTH, L), L, reduction)[0]:
+            nodes, count, least, words, tripped = _scan_branch(
+                (n, k, L, prefix, reduction, False, None, None)
+            )
+            assert words is None and not tripped
+            kept = _scan_branch((n, k, L, prefix, reduction, True, None, None))
+            assert kept[0] == nodes and not kept[4]
+            assert (count, least) == (len(kept[3]), min(kept[3], default=None)), (L, prefix)
