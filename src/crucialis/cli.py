@@ -27,9 +27,9 @@ from pathlib import Path
 from .constructions import (
     DEFAULT_LENGTH_CAP,
     FamilyId,
+    _table_cells,
     bounds,
     construct_family,
-    family_exponent,
     family_length,
 )
 from .cruciality import (
@@ -52,6 +52,7 @@ from .errors import (
 )
 from .powers import find_abelian_power
 from .search import (
+    DEFAULT_MAX_LENGTH,
     EnumerateAllCrucialAtLength,
     FindMinimalCrucial,
     SearchConfig,
@@ -79,20 +80,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_range(text: str) -> tuple[int, int]:
     """INT or A:B (inclusive)."""
-    if ":" in text:
-        lo, _, hi = text.partition(":")
-        try:
-            a, b = int(lo), int(hi)
-        except ValueError:
-            raise _UsageError(f"bad range {text!r}, expected INT or A:B")
-        if a > b:
-            raise _UsageError(f"empty range {text!r}")
-        return a, b
+    lo, colon, hi = text.partition(":")
     try:
-        v = int(text)
+        a = int(lo)
+        b = int(hi) if colon else a
     except ValueError:
         raise _UsageError(f"bad range {text!r}, expected INT or A:B")
-    return v, v
+    if a > b:
+        raise _UsageError(f"empty range {text!r}")
+    return a, b
 
 
 def _read_word(args) -> Word:
@@ -275,36 +271,15 @@ def _cmd_search(args, out, err) -> int:
     return EXIT_BUDGET if tripped else EXIT_OK
 
 
-# (family, minimal n, minimal k); a family with a free exponent starts past
-# the k where it repeats a row fixed to that k (see family_exponent)
-_TABLE_ROWS: list[tuple[FamilyId, int, int]] = [
-    (FamilyId.ZIMIN, 1, 2),
-    (FamilyId.ZIMIN_K, 1, 3),
-    (FamilyId.DOUBLING, 1, 3),
-    (FamilyId.DOUBLING_K, 1, 4),
-    (FamilyId.WN, 4, 3),
-    (FamilyId.WN_K, 4, 4),
-    (FamilyId.DN, 4, 2),
-    (FamilyId.EN, 4, 3),
-    (FamilyId.DN_K, 4, 3),
-    (FamilyId.SMALLOPT, 1, 3),
-]
-
-
 def _families_rows(n_range, k_range) -> list[list[str]]:
     rows = []
-    for family, n_min, k_min in _TABLE_ROWS:
-        n_max = 4 if family is FamilyId.SMALLOPT else n_range[1]
-        fixed = family_exponent(family)
-        k_max = k_range[1] if fixed is None else min(fixed, k_range[1])
-        for n in range(max(n_min, n_range[0]), n_max + 1):
-            for k in range(max(k_min, k_range[0]), k_max + 1):
-                length = family_length(family, n, k)
-                if length > DEFAULT_LENGTH_CAP:
-                    shown = "over-cap"
-                else:
-                    shown = _show_word(construct_family(family, n, k))
-                rows.append([family.value, str(n), str(k), shown, str(length)])
+    for family, n, k in _table_cells(n_range, k_range):
+        length = family_length(family, n, k)
+        if length > DEFAULT_LENGTH_CAP:
+            shown = "over-cap"
+        else:
+            shown = _show_word(construct_family(family, n, k))
+        rows.append([family.value, str(n), str(k), shown, str(length)])
     return rows
 
 
@@ -397,7 +372,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--k", required=True, type=int)
     s.add_argument("--mode", choices=["min", "none-below", "enumerate"], default="min")
     s.add_argument("--length", type=int, help="target length for none-below/enumerate")
-    s.add_argument("--max-length", type=int, default=40, dest="max_length")
+    s.add_argument("--max-length", type=int, default=DEFAULT_MAX_LENGTH, dest="max_length")
     s.add_argument("--node-budget", type=int, dest="node_budget")
     s.add_argument("--time-budget", type=float, dest="time_budget", help="seconds")
     s.set_defaults(func=_cmd_search)

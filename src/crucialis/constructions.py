@@ -14,6 +14,12 @@ by the recipe that proves the corresponding length bound:
   members.
 - smallopt: stored minimal-length words for exponent 3 over 1..4 letters.
 
+A family is one row of _FAMILY_TABLE: its builder's recipe (least n, largest
+n where there is one, least k, length formula) and the exponent the family is
+fixed to, if any. The constructors' guards, construct_family, family_length,
+bounds() and `crucialis table families` all read the table, so a new family
+is one row plus its builder.
+
 bounds(n, k) combines the known lower bounds with the best constructed upper
 bound and reports the exact minimal length where it is settled.
 """
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import CapacityError, DomainError
 from .words import MAX_ALPHABET, Word, _word_of
@@ -29,9 +36,28 @@ from .words import MAX_ALPHABET, Word, _word_of
 DEFAULT_LENGTH_CAP = 1_000_000
 
 
-def _guard_length(length: int, length_cap: int) -> None:
-    if length > length_cap:
+class _Recipe(NamedTuple):
+    """A builder taking (n, k), its domain and its length formula."""
+
+    build: Callable[[int, int], Word]
+    n_min: int
+    n_max: int | None  # None: no largest n
+    k_min: int
+    length: Callable[[int, int], int]
+
+
+def _admit(recipe: _Recipe, n: int, k: int, length_cap: int | None = None) -> int:
+    """The length of the recipe's word at (n, k). Raises DomainError outside
+    the recipe's domain and CapacityError over length_cap."""
+    if not recipe.n_min <= n <= (recipe.n_max or n):
+        top = "" if recipe.n_max is None else f" and n <= {recipe.n_max}"
+        raise DomainError(f"need n >= {recipe.n_min}{top}, got {n}")
+    if k < recipe.k_min:
+        raise DomainError(f"need k >= {recipe.k_min}, got {k}")
+    length = recipe.length(n, k)
+    if length_cap is not None and length > length_cap:
         raise CapacityError(f"construction length {length} exceeds cap {length_cap}")
+    return length
 
 
 def _built(letters: list[int], n: int) -> Word:
@@ -42,30 +68,9 @@ def _built(letters: list[int], n: int) -> Word:
     return _word_of(tuple(letters), n)
 
 
-# length formulas, shared by the constructors' guards, bounds and family_length
-def _zimin_length(n: int, k: int) -> int:
-    return k**n - 1
-
-
-def _doubling_length(n: int, k: int) -> int:
-    return k * (k - 1) ** (n - 1) - 1
-
-
-def _w_length(n: int, k: int) -> int:
-    return k * k * (n - 1) - 1
-
-
-def _d_length(n: int, k: int) -> int:
-    return k * k * (n - 1) - k - 1
-
-
 def construct_zimin(n: int, k: int = 2, length_cap: int = DEFAULT_LENGTH_CAP) -> Word:
     """X_1 = 1^{k-1}, X_i = (X_{i-1} i)^{k-1} X_{i-1}; length k^n - 1."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    if k < 2:
-        raise DomainError(f"need k >= 2, got {k}")
-    _guard_length(_zimin_length(n, k), length_cap)
+    _admit(_ZIMIN, n, k, length_cap)
     word: list[int] = [1] * (k - 1)
     for i in range(2, n + 1):
         word = (word + [i]) * (k - 1) + word
@@ -79,11 +84,7 @@ def construct_doubling_k(n: int, k: int, length_cap: int = DEFAULT_LENGTH_CAP) -
     after each letter, and one extra 1 after each of the last k-2 letters.
     Length k (k-1)^{n-1} - 1.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    if k < 3:
-        raise DomainError(f"doubling family needs k >= 3, got {k}")
-    _guard_length(_doubling_length(n, k), length_cap)
+    _admit(_DOUBLING, n, k, length_cap)
     word = [1] * (k - 1)
     for _ in range(2, n + 1):
         nxt: list[int] = []
@@ -128,26 +129,29 @@ def _dup_rightmost(block: list[int], letters: set[int]) -> list[int]:
     return out
 
 
+def _lift(blocks: list[list[int]], k: int, dup: set[int], tail: list[int], n: int) -> list[int]:
+    """Lift blocks to a k-block word, one block a step: duplicate the rightmost
+    dup letters in each block, splice in blocks[0] + tail as the new second
+    block, and put n before the last block's leftmost 1 if that block lacks n."""
+    for _ in range(len(blocks), k):
+        second = blocks[0] + tail
+        blocks = [_dup_rightmost(b, dup) for b in blocks]
+        if n not in blocks[-1]:
+            blocks[-1].insert(blocks[-1].index(1), n)
+        blocks.insert(1, second)
+    return [a for b in blocks for a in b]
+
+
 def construct_W(n: int, k: int = 3, length_cap: int = DEFAULT_LENGTH_CAP) -> Word:
     """Crucial word of length k^2 (n-1) - 1 for exponent k >= 3, n >= 4.
 
     For k = 3 the word has explicit blocks of total length 9n - 10. Each
     increment of k duplicates the rightmost occurrence of every letter except
     1 inside each block and splices in a fresh second block, a copy of the old
-    first block followed by n..2.
+    first block followed by n..2. The last block always holds n.
     """
-    if n < 4:
-        raise DomainError(f"need n >= 4, got {n}")
-    if k < 3:
-        raise DomainError(f"need k >= 3, got {k}")
-    _guard_length(_w_length(n, k), length_cap)
-    blocks = _blocks_w3(n)
-    dup = set(range(2, n + 1))
-    for _ in range(3, k):
-        second = list(blocks[0]) + list(range(n, 1, -1))
-        grown = [_dup_rightmost(b, dup) for b in blocks]
-        blocks = [grown[0], second] + grown[1:]
-    return _built([a for b in blocks for a in b], n)
+    _admit(_W, n, k, length_cap)
+    return _built(_lift(_blocks_w3(n), k, set(range(2, n + 1)), list(range(n, 1, -1)), n), n)
 
 
 def _blocks_d2(n: int) -> list[list[int]]:
@@ -172,20 +176,8 @@ def construct_D(n: int, k: int = 2, length_cap: int = DEFAULT_LENGTH_CAP) -> Wor
     lacks the letter n, inserts n just before its leftmost 1. At k = 3 this
     is the cube family en, of length 9n - 13.
     """
-    if n < 4:
-        raise DomainError(f"need n >= 4, got {n}")
-    if k < 2:
-        raise DomainError(f"need k >= 2, got {k}")
-    _guard_length(_d_length(n, k), length_cap)
-    blocks = _blocks_d2(n)
-    dup = {1} | set(range(3, n + 1))
-    for _ in range(2, k):
-        second = list(blocks[0]) + [1] + list(range(3, n + 1))
-        grown = [_dup_rightmost(b, dup) for b in blocks]
-        if n not in grown[-1]:
-            grown[-1].insert(grown[-1].index(1), n)
-        blocks = [grown[0], second] + grown[1:]
-    return _built([a for b in blocks for a in b], n)
+    _admit(_D, n, k, length_cap)
+    return _built(_lift(_blocks_d2(n), k, {1} | set(range(3, n + 1)), [1, *range(3, n + 1)], n), n)
 
 
 _OPTIMAL_SMALL = {
@@ -198,8 +190,7 @@ _OPTIMAL_SMALL = {
 
 def optimal_small_word(n: int) -> Word:
     """A minimal-length crucial word for exponent 3 over n <= 4 letters."""
-    if n not in _OPTIMAL_SMALL:
-        raise DomainError(f"minimal words are stored for 1 <= n <= 4, got {n}")
+    _admit(_SMALLOPT, n, 3)
     return _word_of(_OPTIMAL_SMALL[n], n)
 
 
@@ -215,8 +206,18 @@ def greedy_length(n: int) -> int:
     return total
 
 
+# each builder with its domain (least n, largest n or None, least k) and length
+_ZIMIN = _Recipe(construct_zimin, 1, None, 2, lambda n, k: k**n - 1)
+_DOUBLING = _Recipe(construct_doubling_k, 1, None, 3, lambda n, k: k * (k - 1) ** (n - 1) - 1)
+_W = _Recipe(construct_W, 4, None, 3, lambda n, k: k * k * (n - 1) - 1)
+_D = _Recipe(construct_D, 4, None, 2, lambda n, k: k * k * (n - 1) - k - 1)
+_SMALLOPT = _Recipe(
+    lambda n, k: optimal_small_word(n), 1, 4, 3, lambda n, k: len(_OPTIMAL_SMALL[n])
+)
+
+
 class FamilyId(enum.Enum):
-    """Construction families, by CLI name."""
+    """Construction families, by CLI name, in `table families` row order."""
 
     ZIMIN = "zimin"
     ZIMIN_K = "zimink"
@@ -230,39 +231,33 @@ class FamilyId(enum.Enum):
     SMALLOPT = "smallopt"
 
 
-# family -> (fixed exponent or None, builder taking (n, k), length formula)
-_FAMILY_TABLE = {
-    FamilyId.ZIMIN: (2, construct_zimin, _zimin_length),
-    FamilyId.ZIMIN_K: (None, construct_zimin, _zimin_length),
-    FamilyId.DOUBLING: (3, construct_doubling_k, _doubling_length),
-    FamilyId.DOUBLING_K: (None, construct_doubling_k, _doubling_length),
-    FamilyId.WN: (3, construct_W, _w_length),
-    FamilyId.WN_K: (None, construct_W, _w_length),
-    FamilyId.DN: (2, construct_D, _d_length),
-    FamilyId.EN: (3, construct_D, _d_length),
-    FamilyId.DN_K: (None, construct_D, _d_length),
-    FamilyId.SMALLOPT: (
-        3,
-        lambda n, k: optimal_small_word(n),
-        lambda n, k: len(optimal_small_word(n)),
-    ),
+# family -> (recipe, fixed exponent or None)
+_FAMILY_TABLE: dict[FamilyId, tuple[_Recipe, int | None]] = {
+    FamilyId.ZIMIN: (_ZIMIN, 2),
+    FamilyId.ZIMIN_K: (_ZIMIN, None),
+    FamilyId.DOUBLING: (_DOUBLING, 3),
+    FamilyId.DOUBLING_K: (_DOUBLING, None),
+    FamilyId.WN: (_W, 3),
+    FamilyId.WN_K: (_W, None),
+    FamilyId.DN: (_D, 2),
+    FamilyId.EN: (_D, 3),
+    FamilyId.DN_K: (_D, None),
+    FamilyId.SMALLOPT: (_SMALLOPT, 3),
 }
 
 
 def family_exponent(family: FamilyId) -> int | None:
     """The exponent a family is fixed to, or None when it takes k freely."""
-    return _FAMILY_TABLE[family][0]
+    return _FAMILY_TABLE[family][1]
 
 
 def _exponent_for(family: FamilyId, k: int | None) -> int:
-    fixed = _FAMILY_TABLE[family][0]
-    if fixed is not None:
-        if k is not None and k != fixed:
-            raise DomainError(f"family {family.value} is fixed to exponent {fixed}, got k={k}")
-        return fixed
-    if k is None:
+    fixed = _FAMILY_TABLE[family][1]
+    if fixed is None and k is None:
         raise DomainError(f"family {family.value} requires an exponent k")
-    return k
+    if fixed is not None and k not in (None, fixed):
+        raise DomainError(f"family {family.value} is fixed to exponent {fixed}, got k={k}")
+    return fixed or k
 
 
 def construct_family(family: FamilyId, n: int, k: int | None = None) -> Word:
@@ -271,13 +266,37 @@ def construct_family(family: FamilyId, n: int, k: int | None = None) -> Word:
     Families with a fixed exponent accept k equal to that exponent or omitted;
     parameterised families require k.
     """
-    return _FAMILY_TABLE[family][1](n, _exponent_for(family, k))
+    return _FAMILY_TABLE[family][0].build(n, _exponent_for(family, k))
 
 
 def family_length(family: FamilyId, n: int, k: int | None = None) -> int:
     """The length of construct_family(family, n, k), by formula: the word is
-    not built, and n, k must lie in the family's domain."""
-    return _FAMILY_TABLE[family][2](n, _exponent_for(family, k))
+    not built. Outside the family's domain it raises DomainError."""
+    return _admit(_FAMILY_TABLE[family][0], n, _exponent_for(family, k))
+
+
+def _holds(family: FamilyId, n: int, k: int) -> bool:
+    """Whether (n, k) lies in the family's domain."""
+    recipe, fixed = _FAMILY_TABLE[family]
+    return recipe.n_min <= n <= (recipe.n_max or n) and k >= recipe.k_min and fixed in (None, k)
+
+
+def _table_cells(n_range, k_range) -> Iterator[tuple[FamilyId, int, int]]:
+    """The (family, n, k) rows of `crucialis table families` in the inclusive
+    ranges: families in enum order, then n, then k, over each one's domain. A
+    free exponent starts one past the least exponent its builder's families fix."""
+    for family in FamilyId:
+        recipe, fixed = _FAMILY_TABLE[family]
+        siblings = (f for r, f in _FAMILY_TABLE.values() if r is recipe and f)
+        k_min = fixed or 1 + min(siblings, default=recipe.k_min - 1)
+        k_max = fixed or k_range[1]
+        n_max = min(n_range[1], recipe.n_max or n_range[1])
+        for n in range(max(recipe.n_min, n_range[0]), n_max + 1):
+            for k in range(max(k_min, k_range[0]), min(k_max, k_range[1]) + 1):
+                yield family, n, k
+
+
+_UPPER_FAMILIES = (FamilyId.DN_K, FamilyId.SMALLOPT, FamilyId.DOUBLING_K, FamilyId.ZIMIN_K)
 
 
 @dataclass(frozen=True)
@@ -293,32 +312,21 @@ class Bounds:
 def bounds(n: int, k: int) -> Bounds:
     """Lower and upper bounds on the minimal crucial length, exact when known.
 
-    The upper bound is always witnessed by a construction from FamilyId; ties
-    between candidate families keep the first in preference order (dnk, then
-    smallopt, doublingk, zimink).
+    The upper bound is the shortest word of the _UPPER_FAMILIES whose domain
+    holds (n, k); ties keep the first in preference order (dnk, then
+    smallopt, doublingk, zimink). zimink holds wherever bounds is defined.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    if k < 2:
-        raise DomainError(f"need k >= 2, got {k}")
+    _admit(_ZIMIN, n, k)
     lower = n * k - 1
     if k == 3 and n >= 5:
         lower = max(lower, 9 * n - 13)
     if k >= 4 and n >= 5:
         lower = max(lower, k * (3 * n - 4) - 1)
 
-    candidates: list[tuple[int, FamilyId]] = []
-    if n >= 4:
-        candidates.append((_d_length(n, k), FamilyId.DN_K))
-    if k == 3 and n <= 4:
-        candidates.append((len(_OPTIMAL_SMALL[n]), FamilyId.SMALLOPT))
-    if k >= 3:
-        candidates.append((_doubling_length(n, k), FamilyId.DOUBLING_K))
-    candidates.append((_zimin_length(n, k), FamilyId.ZIMIN_K))
-    upper, upper_family = candidates[0]
-    for length, fam in candidates[1:]:
-        if length < upper:
-            upper, upper_family = length, fam
+    upper_family = min(
+        (f for f in _UPPER_FAMILIES if _holds(f, n, k)), key=lambda f: family_length(f, n, k)
+    )
+    upper = family_length(upper_family, n, k)
 
     exact: int | None = None
     if k == 2:

@@ -103,7 +103,9 @@ scanned in lexicographic order, sequentially or on a process pool that is
 started on first use and serves every length of one search call. Results
 are consumed in branch order, so parallel runs return results equal to
 sequential ones, node counts included. When the search stops early, the
-workers still running are terminated rather than waited for.
+workers still running are terminated rather than waited for. A worker that
+dies (say, OOM-killed) raises CrucialisError: the pool would replace it but
+never deliver its branch, so each wait for a result checks it every second.
 
 Node budgets are enforced deterministically: each branch runs under the
 budget left as a hard cap, and results stop being consumed once the running
@@ -141,7 +143,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterator, Union
 
-from .errors import BudgetExhaustedError, DomainError
+from .errors import BudgetExhaustedError, CrucialisError, DomainError
 from .powers import _require_exponent, _suffix_power_from_prefixes
 from .words import _SHIFT, MAX_ALPHABET, Word, _word_of
 
@@ -581,16 +583,30 @@ class _Workers:
     def __init__(self, size: int):
         self.size = size
         self.pool = None
+        self.pids: set[int] = set()  # the workers the pool started with
 
     def imap(self, tasks: list[tuple]) -> Iterator:
         if self.pool is None:
             # imported here, so a search without a pool (and the CLI) never loads it
-            from multiprocessing import get_all_start_methods, get_context
+            from multiprocessing import active_children, get_context
 
+            before = {p.pid for p in active_children()}
             # fork keeps workers independent of how the parent was launched
-            method = "fork" if "fork" in get_all_start_methods() else "spawn"
-            self.pool = get_context(method).Pool(self.size)
-        return self.pool.imap(_scan_branch, tasks, chunksize=1)
+            self.pool = get_context("fork").Pool(self.size)
+            self.pids = {p.pid for p in active_children()} - before
+        results = self.pool.imap(_scan_branch, tasks, chunksize=1)
+        return (self._wait(results) for _ in tasks)
+
+    def _wait(self, results) -> tuple:
+        """The next result, or CrucialisError once a worker the pool started died."""
+        from multiprocessing import TimeoutError, active_children
+
+        while True:
+            try:
+                return results.next(timeout=1.0)
+            except TimeoutError:
+                if self.pids - {p.pid for p in active_children()}:
+                    raise CrucialisError("a search worker died; its branch is lost") from None
 
     def close(self) -> None:
         """Stop the workers, including any still scanning discarded branches."""

@@ -8,6 +8,7 @@ from crucialis import cli, powers
 from crucialis.cli import run
 from crucialis.constructions import bounds, construct_D, construct_family, FamilyId
 from crucialis.cruciality import is_crucial
+from crucialis.search import DEFAULT_MAX_LENGTH
 from crucialis.words import WordFormat, parse_word
 
 
@@ -278,6 +279,10 @@ class TestSearch:
             "RESULT: none_below=45 certified=false minimal_length=5 witness=12122"
         )
 
+    def test_default_max_length_is_the_library_default(self):
+        args = cli._build_parser().parse_args(["search", "--n", "2", "--k", "3"])
+        assert args.max_length == DEFAULT_MAX_LENGTH
+
     def test_enumerate_lists_words(self):
         code, out, _ = invoke(
             ["search", "--n", "2", "--k", "3", "--mode", "enumerate", "--length", "5"]
@@ -329,6 +334,14 @@ class TestTable:
             )
             assert code == 0
             assert "over-cap" in out and "dnk" in out
+
+    def test_families_stay_in_the_n_range(self):
+        # smallopt is stored for n <= 4 but lists only the n asked for
+        code, out, _ = invoke(["table", "families", "--n", "1:2", "--k", "3"])
+        assert code == 0
+        rows = [line.split()[:3] for line in out.splitlines()]
+        assert ["smallopt", "2", "3"] in rows
+        assert all(1 <= int(n) <= 2 and k == "3" for _, n, k in rows)
 
     def test_families_defaults(self):
         code, out, _ = invoke(["table", "families"])

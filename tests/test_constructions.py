@@ -301,6 +301,74 @@ class TestFamilyDispatch:
             family_length(FamilyId.ZIMIN, 3, k=3)
 
 
+# The domain of each family, restated: (least n, largest n or None, least k,
+# fixed exponent or None).
+FAMILY_DOMAINS = {
+    FamilyId.ZIMIN: (1, None, 2, 2),
+    FamilyId.ZIMIN_K: (1, None, 2, None),
+    FamilyId.DOUBLING: (1, None, 3, 3),
+    FamilyId.DOUBLING_K: (1, None, 3, None),
+    FamilyId.WN: (4, None, 3, 3),
+    FamilyId.WN_K: (4, None, 3, None),
+    FamilyId.DN: (4, None, 2, 2),
+    FamilyId.EN: (4, None, 3, 3),
+    FamilyId.DN_K: (4, None, 2, None),
+    FamilyId.SMALLOPT: (1, 4, 3, 3),
+}
+
+
+def paper_upper(n, k):
+    """bounds()'s upper bound and family by the conditions it used to spell
+    out: the first shortest of dnk (n >= 4), smallopt (k = 3, n <= 4),
+    doublingk (k >= 3) and zimink."""
+    candidates = []
+    if n >= 4:
+        candidates.append((k * k * (n - 1) - k - 1, FamilyId.DN_K))
+    if k == 3 and n <= 4:
+        candidates.append(((2, 5, 11, 20)[n - 1], FamilyId.SMALLOPT))
+    if k >= 3:
+        candidates.append((k * (k - 1) ** (n - 1) - 1, FamilyId.DOUBLING_K))
+    candidates.append((k**n - 1, FamilyId.ZIMIN_K))
+    return min(candidates, key=lambda c: c[0])
+
+
+class TestFamilyTable:
+    def test_every_family_has_a_domain(self):
+        assert set(FAMILY_DOMAINS) == set(FamilyId)
+        for fam, (_, _, _, fixed) in FAMILY_DOMAINS.items():
+            assert family_exponent(fam) == fixed
+
+    @pytest.mark.parametrize("fam", list(FamilyId))
+    def test_corners_build_crucial_words(self, fam):
+        n_min, n_max, k_min, fixed = FAMILY_DOMAINS[fam]
+        k = fixed or k_min
+        for n in {n_min, n_max or n_min}:
+            w = construct_family(fam, n, k)
+            assert len(w) == family_length(fam, n, k)
+            assert w.alphabet_size == n
+            assert is_crucial(w, k)
+
+    @pytest.mark.parametrize("fam", list(FamilyId))
+    def test_one_step_outside_raises(self, fam):
+        n_min, n_max, k_min, fixed = FAMILY_DOMAINS[fam]
+        outside = [(n_min - 1, fixed or k_min), (n_min, k_min - 1)]
+        if n_max is not None:
+            outside.append((n_max + 1, fixed or k_min))
+        if fixed is not None:
+            outside.append((n_min, fixed + 1))
+        for n, k in outside:
+            with pytest.raises(DomainError):
+                construct_family(fam, n, k)
+            with pytest.raises(DomainError):
+                family_length(fam, n, k)
+
+    def test_bounds_upper_restates_the_paper_conditions(self):
+        for n in range(1, 13):
+            for k in range(2, 7):
+                b = bounds(n, k)
+                assert (b.upper, b.upper_family) == paper_upper(n, k), (n, k)
+
+
 class TestBounds:
     @pytest.mark.parametrize(
         "n,k,expect",

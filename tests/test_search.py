@@ -155,6 +155,59 @@ class TestDeterminism:
         assert proc.stdout.split() == ["False", "None", str(10**7 + 1)]
 
 
+    def test_dead_worker_fails_the_search(self, tmp_path):
+        # A pool never delivers the branch of a worker that died. SIGKILL a
+        # worker while it scans a length-29 branch: the search must raise,
+        # stop every worker and free its checkpoint for the next search.
+        script = (
+            "import multiprocessing, os, signal, sys, threading, time\n"
+            "from crucialis.errors import CrucialisError\n"
+            "from crucialis.search import SearchConfig, VerifyNoneBelow, verify_none_below\n"
+            "def busy(pid):\n"
+            "    try:\n"
+            "        with open(f'/proc/{pid}/stat') as fh:\n"
+            "            return fh.read().rpartition(')')[2].split()[0] == 'R'\n"
+            "    except OSError:\n"
+            "        return True\n"
+            "killed = []\n"
+            "def kill_one():\n"
+            "    while len(multiprocessing.active_children()) < 2:\n"
+            "        time.sleep(0.01)\n"
+            "    time.sleep(0.4)\n"
+            "    while not killed:\n"
+            "        for p in multiprocessing.active_children():\n"
+            "            if busy(p.pid):\n"
+            "                os.kill(p.pid, signal.SIGKILL)\n"
+            "                killed.append((p.pid, time.monotonic()))\n"
+            "                break\n"
+            "        time.sleep(0.01)\n"
+            "def cfg(limit, workers):\n"
+            "    return SearchConfig(n=5, k=3, target_mode=VerifyNoneBelow(limit),\n"
+            "        workers=workers, checkpoint_path=sys.argv[1])\n"
+            "threading.Thread(target=kill_one, daemon=True).start()\n"
+            "try:\n"
+            "    verify_none_below(cfg(32, 2))\n"
+            "    print('finished')\n"
+            "except CrucialisError:\n"
+            "    pid, at = killed[0]\n"
+            "    print('raised', time.monotonic() - at, len(multiprocessing.active_children()))\n"
+            "    try:\n"
+            "        os.kill(pid, 0)\n"
+            "    except ProcessLookupError:\n"
+            "        print('reaped')\n"
+            "    print(verify_none_below(cfg(20, 1)).exhaustive)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(crucialis.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "scan.ckpt")],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outcome, *rest = proc.stdout.split()
+        assert outcome == "raised", proc.stdout
+        assert float(rest[0]) < 10.0
+        assert rest[1:] == ["0", "reaped", "True"]
+
 @pytest.mark.long
 def test_find_mode_memory_stays_flat():
     # find keeps a count and the least hit, not the 158,356 crucial words at

@@ -155,14 +155,22 @@ class TestCorpus:
 
 
 def test_import_leaves_numpy_out():
-    # the package is pure Python; importing it must not load numpy
+    # the package has no runtime dependency: importing it and its CLI loads
+    # only standard-library modules, numpy among those it must not load
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import crucialis, crucialis.cli\n"
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(*sorted(new - sys.stdlib_module_names - {'crucialis'}))\n"
+        "print('numpy' in sys.modules)\n"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(crucialis.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, crucialis; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    assert proc.stdout.splitlines() == ["", "False"]
 
 
 def test_cli_import_leaves_multiprocessing_out():
