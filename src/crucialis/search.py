@@ -103,9 +103,9 @@ scanned in lexicographic order, sequentially or on a process pool that is
 started on first use and serves every length of one search call. Results
 are consumed in branch order, so parallel runs return results equal to
 sequential ones, node counts included. When the search stops early, the
-workers still running are terminated rather than waited for. A worker that
-dies (say, OOM-killed) raises CrucialisError: the pool would replace it but
-never deliver its branch, so each wait for a result checks it every second.
+workers still running are killed rather than waited for. A worker that dies
+(say, OOM-killed), busy or idle, breaks the pool, and the search raises
+CrucialisError at once.
 
 Node budgets are enforced deterministically: each branch runs under the
 budget left as a hard cap, and results stop being consumed once the running
@@ -197,7 +197,7 @@ class SearchConfig:
             raise DomainError(f"max_length must be in 1..{(1 << _SHIFT) - 1}")
         if self.node_budget is not None and self.node_budget < 1:
             raise DomainError("node_budget must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
+        if self.time_budget is not None and not self.time_budget > 0:  # NaN too
             raise DomainError("time_budget must be positive")
         if self.workers < 1:
             raise DomainError("workers must be at least 1")
@@ -583,36 +583,30 @@ class _Workers:
     def __init__(self, size: int):
         self.size = size
         self.pool = None
-        self.pids: set[int] = set()  # the workers the pool started with
 
     def imap(self, tasks: list[tuple]) -> Iterator:
-        if self.pool is None:
-            # imported here, so a search without a pool (and the CLI) never loads it
-            from multiprocessing import active_children, get_context
+        # imported here, so a search without a pool (and the CLI) never loads it
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+        from multiprocessing import get_context
 
-            before = {p.pid for p in active_children()}
-            # fork keeps workers independent of how the parent was launched
-            self.pool = get_context("fork").Pool(self.size)
-            self.pids = {p.pid for p in active_children()} - before
-        results = self.pool.imap(_scan_branch, tasks, chunksize=1)
-        return (self._wait(results) for _ in tasks)
-
-    def _wait(self, results) -> tuple:
-        """The next result, or CrucialisError once a worker the pool started died."""
-        from multiprocessing import TimeoutError, active_children
-
-        while True:
+        def result(future) -> tuple:
             try:
-                return results.next(timeout=1.0)
-            except TimeoutError:
-                if self.pids - {p.pid for p in active_children()}:
-                    raise CrucialisError("a search worker died; its branch is lost") from None
+                return future.result()
+            except BrokenProcessPool:  # a worker died, busy or idle
+                raise CrucialisError("a search worker died; its branch is lost") from None
+
+        if self.pool is None:
+            # fork keeps workers independent of how the parent was launched
+            self.pool = ProcessPoolExecutor(self.size, get_context("fork"))
+        return map(result, [self.pool.submit(_scan_branch, task) for task in tasks])
 
     def close(self) -> None:
         """Stop the workers, including any still scanning discarded branches."""
         if self.pool is not None:
-            self.pool.terminate()
-            self.pool.join()
+            # no public call stops a running worker before Python 3.14's kill_workers()
+            for process in self.pool._processes.values():
+                process.kill()
+            self.pool.shutdown(cancel_futures=True)
             self.pool = None
 
 

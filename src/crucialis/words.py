@@ -72,7 +72,7 @@ def _check(letters: tuple, n: int) -> None:
     if not 1 <= n <= MAX_ALPHABET:
         raise DomainError(f"alphabet_size must be in 1..{MAX_ALPHABET}, got {n}")
     for a in letters:
-        if not isinstance(a, int) or not 1 <= a <= n:
+        if type(a) is not int or not 1 <= a <= n:  # a bool is no letter
             raise DomainError(f"letter {a!r} outside alphabet 1..{n}")
 
 

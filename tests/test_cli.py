@@ -292,6 +292,12 @@ class TestSearch:
         assert lines[0] == "RESULT: crucial_words_found=2 exhaustive=true"
         assert lines[1:] == ["12122", "12211"]
 
+    def test_nan_time_budget_rejected(self):
+        # NaN compares false with every bound: as a budget it would never trip
+        code, out, err = invoke(["search", "--n", "3", "--k", "3", "--time-budget", "nan"])
+        assert code == 2
+        assert out == "" and "time_budget" in err
+
     def test_enumerate_requires_length(self):
         code, _, err = invoke(["search", "--n", "2", "--k", "3", "--mode", "enumerate"])
         assert code == 2

@@ -2,6 +2,7 @@
 
 import gc
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -205,6 +206,75 @@ class TestDeterminism:
         assert proc.returncode == 0, proc.stderr
         outcome, *rest = proc.stdout.split()
         assert outcome == "raised", proc.stdout
+        assert float(rest[0]) < 10.0
+        assert rest[1:] == ["0", "reaped", "True"]
+
+    def test_idle_dead_worker_fails_the_search(self, tmp_path):
+        # An idle worker waits on the pool's task queue. Leave two length-27
+        # branches unscanned, of 831,102 and 3,114 nodes, and SIGKILL the
+        # worker that sleeps while the other scans: the search must raise,
+        # stop every worker and free its checkpoint for the next search.
+        path = tmp_path / "scan.ckpt"
+        ckpt = _Checkpoint(path, SearchConfig(n=3, k=4))
+        for L in range(3, 28, 4):
+            for prefix in _branches(3, 4, min(4, L), L, True)[0]:
+                if L < 27 or prefix not in ((1, 1, 1, 2), (1, 2, 3, 3)):
+                    ckpt.record(L, prefix, 1, 0, None)
+        ckpt.close()  # releases the lock for the search below
+        script = (
+            "import multiprocessing, os, signal, sys, threading, time\n"
+            "from crucialis.errors import CrucialisError\n"
+            "from crucialis.search import SearchConfig, VerifyNoneBelow, verify_none_below\n"
+            "def state(pid):\n"
+            "    try:\n"
+            "        with open(f'/proc/{pid}/stat') as fh:\n"
+            "            return fh.read().rpartition(')')[2].split()[0]\n"
+            "    except OSError:\n"
+            "        return None\n"
+            "killed = []\n"
+            "def kill_idle():\n"
+            "    while len(multiprocessing.active_children()) < 2:\n"
+            "        time.sleep(0.01)\n"
+            "    time.sleep(0.2)\n"
+            "    while not killed:\n"
+            "        states = {p.pid: state(p.pid) for p in multiprocessing.active_children()}\n"
+            "        if sorted(states.values()) == ['R', 'S']:\n"
+            "            idle = next(pid for pid, s in states.items() if s == 'S')\n"
+            "            os.kill(idle, signal.SIGKILL)\n"
+            "            killed.append((idle, time.monotonic()))\n"
+            "        time.sleep(0.01)\n"
+            "def cfg(limit, workers):\n"
+            "    return SearchConfig(n=3, k=4, target_mode=VerifyNoneBelow(limit),\n"
+            "        workers=workers, checkpoint_path=sys.argv[1])\n"
+            "threading.Thread(target=kill_idle, daemon=True).start()\n"
+            "try:\n"
+            "    verify_none_below(cfg(28, 2))\n"
+            "    print('finished')\n"
+            "except CrucialisError:\n"
+            "    pid, at = killed[0]\n"
+            "    print('raised', time.monotonic() - at, len(multiprocessing.active_children()))\n"
+            "    try:\n"
+            "        os.kill(pid, 0)\n"
+            "    except ProcessLookupError:\n"
+            "        print('reaped')\n"
+            "    print(verify_none_below(cfg(24, 1)).exhaustive)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(crucialis.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            # a hung search keeps its workers; the session holds them all
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the search hung after its idle worker died")
+        assert proc.returncode == 0, err
+        outcome, *rest = out.split()
+        assert outcome == "raised", out
         assert float(rest[0]) < 10.0
         assert rest[1:] == ["0", "reaped", "True"]
 
@@ -548,6 +618,7 @@ class TestConfigValidation:
             dict(n=2, k=3, max_length=0),
             dict(n=2, k=3, node_budget=0),
             dict(n=2, k=3, time_budget=0.0),
+            dict(n=2, k=3, time_budget=float("nan")),
             dict(n=2, k=3, workers=0),
             dict(n=2, k=3, target_mode=EnumerateAllCrucialAtLength(0)),
             dict(n=2, k=3, target_mode=VerifyNoneBelow(-1)),

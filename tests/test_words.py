@@ -41,13 +41,13 @@ class TestWordType:
 
     @pytest.mark.parametrize(
         "letters,n",
-        [((0, 1), 2), ((1, 3), 2), ((1,), 0), ((1,), MAX_ALPHABET + 1)],
+        [((0, 1), 2), ((1, 3), 2), ((1,), 0), ((1,), MAX_ALPHABET + 1), ((True, 2), 2)],
     )
     def test_rejects_out_of_range(self, letters, n):
         with pytest.raises(DomainError):
             Word(letters, n)
 
-    @pytest.mark.parametrize("letter", [0, MAX_ALPHABET + 1, 1.0, -1])
+    @pytest.mark.parametrize("letter", [0, MAX_ALPHABET + 1, 1.0, -1, True])
     def test_append_rejects_out_of_range(self, letter):
         # append checks only its new letter; the word's own letters are checked
         with pytest.raises(DomainError):
@@ -174,11 +174,14 @@ def test_import_leaves_numpy_out():
 
 
 def test_cli_import_leaves_multiprocessing_out():
-    # the process pool module loads only when a search starts its pool
+    # the process pool modules load only when a search starts its pool
+    script = (
+        "import sys, crucialis.cli\n"
+        "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(crucialis.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, crucialis.cli; print('multiprocessing' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    assert proc.stdout.split() == ["False", "False"]
