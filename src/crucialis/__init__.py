@@ -53,7 +53,6 @@ from .powers import (
     suffix_abelian_power,
 )
 from .search import (
-    DEFAULT_MAX_LENGTH,
     EnumerateAllCrucialAtLength,
     FindMinimalCrucial,
     SearchConfig,
@@ -84,7 +83,6 @@ __all__ = [
     "CrucialDecomposition",
     "CrucialisError",
     "DEFAULT_LENGTH_CAP",
-    "DEFAULT_MAX_LENGTH",
     "DomainError",
     "EMPTY_WORD",
     "EnumerateAllCrucialAtLength",

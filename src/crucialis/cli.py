@@ -52,7 +52,6 @@ from .errors import (
 )
 from .powers import find_abelian_power
 from .search import (
-    DEFAULT_MAX_LENGTH,
     EnumerateAllCrucialAtLength,
     FindMinimalCrucial,
     SearchConfig,
@@ -207,7 +206,6 @@ def _cmd_search(args, out, err) -> int:
     common = dict(
         n=args.n,
         k=args.k,
-        max_length=args.max_length,
         node_budget=args.node_budget,
         time_budget=args.time_budget,
     )
@@ -230,13 +228,9 @@ def _cmd_search(args, out, err) -> int:
             file=out,
         )
         print(f"nodes: {res.nodes_expanded}", file=out)
-        if not res.exhaustive:
-            return EXIT_BUDGET
-        return EXIT_OK if found else EXIT_NEGATIVE
+        return EXIT_OK if res.exhaustive else EXIT_BUDGET
 
     if args.mode == "none-below":
-        # --max-length bounds min mode only; the certificate needs lengths below the target
-        common["max_length"] = max(args.max_length, args.length - 1)
         cfg = SearchConfig(
             target_mode=VerifyNoneBelow(args.length),
             checkpoint_path=_checkpoint_path(args.n, args.k),
@@ -372,7 +366,6 @@ def _build_parser() -> _Parser:
     s.add_argument("--k", required=True, type=int)
     s.add_argument("--mode", choices=["min", "none-below", "enumerate"], default="min")
     s.add_argument("--length", type=int, help="target length for none-below/enumerate")
-    s.add_argument("--max-length", type=int, default=DEFAULT_MAX_LENGTH, dest="max_length")
     s.add_argument("--node-budget", type=int, dest="node_budget")
     s.add_argument("--time-budget", type=float, dest="time_budget", help="seconds")
     s.set_defaults(func=_cmd_search)

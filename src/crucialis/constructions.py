@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import CapacityError, DomainError
-from .words import MAX_ALPHABET, Word, _word_of
+from .words import Word, _check, _word_of
 
 DEFAULT_LENGTH_CAP = 1_000_000
 
@@ -49,6 +49,8 @@ class _Recipe(NamedTuple):
 def _admit(recipe: _Recipe, n: int, k: int, length_cap: int | None = None) -> int:
     """The length of the recipe's word at (n, k). Raises DomainError outside
     the recipe's domain and CapacityError over length_cap."""
+    if type(n) is not int or type(k) is not int:  # a bool or float is neither
+        raise DomainError(f"n and k must be ints, got n={n!r}, k={k!r}")
     if not recipe.n_min <= n <= (recipe.n_max or n):
         top = "" if recipe.n_max is None else f" and n <= {recipe.n_max}"
         raise DomainError(f"need n >= {recipe.n_min}{top}, got {n}")
@@ -63,8 +65,7 @@ def _admit(recipe: _Recipe, n: int, k: int, length_cap: int | None = None) -> in
 def _built(letters: list[int], n: int) -> Word:
     """The word a recipe built: its letters lie in 1..n by construction, so
     only the alphabet is checked."""
-    if n > MAX_ALPHABET:
-        raise DomainError(f"alphabet_size must be in 1..{MAX_ALPHABET}, got {n}")
+    _check((), n)
     return _word_of(tuple(letters), n)
 
 

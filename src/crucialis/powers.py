@@ -68,6 +68,8 @@ class PowerOccurrence:
 
 
 def _require_exponent(k: int) -> None:
+    if type(k) is not int:  # a bool or float is no exponent
+        raise DomainError(f"exponent k must be an int, got {k!r}")
     if k < 2:
         raise DomainError(f"exponent k must be at least 2, got {k}")
 

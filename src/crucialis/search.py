@@ -89,6 +89,8 @@ to its plain reverse.
 
 One driver runs every mode. Find and verify scan the residue lengths upward,
 enumeration its one length, and the first length with hits is finished whole.
+Find stops by bounds(n, k).upper, the length of a crucial family word, so by
+(a) it always reaches a word. Verify scans the lengths below its target.
 The walk maps each hit as it reaches it. Find and verify keep only the count
 and the least mapped hit, so their memory does not grow with the hits. The
 least is the lex-least canonical crucial word of the minimal length, the
@@ -113,7 +115,8 @@ total exceeds the budget, so a scan that completes within B nodes is proven.
 A trip reports B + 1 nodes, where a sequential scan stops. A pool branch is
 capped at the budget left as its length starts; a branch whose result is
 over the budget left when it is consumed counts as that trip, so a parallel
-run reports what a sequential one does. Time
+run reports what a sequential one does, and records in its checkpoint
+only the branches a sequential run records. Time
 budgets are a wall-clock safety net and are the one knob that trades
 determinism for protection. A budget that trips downgrades the result to
 exhaustive=False rather than raising. A trip at the length that carries hits
@@ -143,11 +146,11 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterator, Union
 
+from .constructions import bounds
 from .errors import BudgetExhaustedError, CrucialisError, DomainError
 from .powers import _require_exponent, _suffix_power_from_prefixes
-from .words import _SHIFT, MAX_ALPHABET, Word, _word_of
+from .words import _SHIFT, Word, _check, _word_of
 
-DEFAULT_MAX_LENGTH = 40
 _BRANCH_DEPTH = 4
 _TIME_CHECK_MASK = 0xFFF  # poll the deadline every 4096 node expansions
 
@@ -174,11 +177,16 @@ class VerifyNoneBelow:
 TargetMode = Union[FindMinimalCrucial, EnumerateAllCrucialAtLength, VerifyNoneBelow]
 
 
+def _require_length(length: int) -> None:
+    """DomainError unless length is an int whose scan keeps counts in _SHIFT-bit lanes."""
+    if type(length) is not int or not 1 <= length < (1 << _SHIFT):
+        raise DomainError(f"target length must be in 1..{(1 << _SHIFT) - 1}, got {length}")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     n: int
     k: int
-    max_length: int = DEFAULT_MAX_LENGTH
     target_mode: TargetMode = field(default_factory=FindMinimalCrucial)
     symmetry_reduction: bool = True
     node_budget: int | None = None
@@ -187,19 +195,15 @@ class SearchConfig:
     checkpoint_path: str | Path | None = None
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_ALPHABET:
-            raise DomainError(f"alphabet size must be in 1..{MAX_ALPHABET}, got {self.n}")
+        _check((), self.n)
         _require_exponent(self.k)
         if isinstance(self.target_mode, (EnumerateAllCrucialAtLength, VerifyNoneBelow)):
-            if not 1 <= self.target_mode.length < (1 << _SHIFT):
-                raise DomainError(f"target length must be in 1..{(1 << _SHIFT) - 1}")
-        if not 1 <= self.max_length < (1 << _SHIFT):
-            raise DomainError(f"max_length must be in 1..{(1 << _SHIFT) - 1}")
-        if self.node_budget is not None and self.node_budget < 1:
+            _require_length(self.target_mode.length)
+        if self.node_budget is not None and (type(self.node_budget) is not int or self.node_budget < 1):
             raise DomainError("node_budget must be positive")
         if self.time_budget is not None and not self.time_budget > 0:  # NaN too
             raise DomainError("time_budget must be positive")
-        if self.workers < 1:
+        if type(self.workers) is not int or self.workers < 1:
             raise DomainError("workers must be at least 1")
 
 
@@ -646,7 +650,7 @@ def _scan_length(
     """Scan all branches at target length L, updating state in branch order.
 
     Stops early only when a budget trips. Branches already in the checkpoint
-    are reused, not re-run; freshly completed branches are recorded.
+    are reused, not re-run; fresh branches within the budget are recorded.
     """
     depth = min(_BRANCH_DEPTH, L)
     prefixes, enum_nodes = _branches(
@@ -677,12 +681,12 @@ def _scan_length(
                 _spend(cfg, state, nodes)
                 state.tripped = True
                 return
-            rec = (nodes, count, least)
-            if ckpt:
-                ckpt.record(L, prefix, *rec)
-        nodes, count, least = rec
+        else:
+            nodes, count, least = rec
         if _spend(cfg, state, nodes):
-            return  # over budget: the branch's words do not count
+            return  # over budget: the branch's words do not count, nor is it recorded
+        if ckpt and rec is None:
+            ckpt.record(L, prefix, nodes, count, least)
         state.hits.add(count, least, words or ())
         if deadline is not None and time.monotonic() > deadline:
             state.tripped = True
@@ -719,15 +723,19 @@ def _search(
 
 
 def search_minimal(cfg: SearchConfig) -> SearchResult:
-    """Find the minimal crucial length for (n, k) up to cfg.max_length.
+    """Find the minimal crucial length for (n, k) and a witness.
 
     Scans lengths k-1 (mod k) upward; the first one carrying a crucial word is
     the minimum, and the witness is the lex-least canonical crucial word there.
-    Returns exhaustive=False with whatever was established if a budget trips.
+    It ends by bounds(n, k).upper, so a proven search always has a witness;
+    DomainError if that length is over the target-length limit. Returns
+    exhaustive=False with whatever was established if a budget trips.
     """
     if not isinstance(cfg.target_mode, FindMinimalCrucial):
         raise DomainError("search_minimal requires target_mode=FindMinimalCrucial()")
-    return _search(cfg, range(cfg.k - 1, cfg.max_length + 1, cfg.k))
+    upper = bounds(cfg.n, cfg.k).upper
+    _require_length(upper)
+    return _search(cfg, range(cfg.k - 1, upper + 1, cfg.k))
 
 
 def verify_none_below(cfg: SearchConfig) -> SearchResult:
@@ -735,17 +743,12 @@ def verify_none_below(cfg: SearchConfig) -> SearchResult:
 
     exhaustive=True with crucial_words_found=0 is the certificate; a found
     word comes back as minimal_length/witness with the count of crucial words
-    at that length. max_length must cover target-1 so the certificate is
-    meaningful.
+    at that length. It scans lengths below the target and no others, so
+    "is there a crucial word of at most M letters?" is VerifyNoneBelow(M + 1).
     """
     if not isinstance(cfg.target_mode, VerifyNoneBelow):
         raise DomainError("verify_none_below requires target_mode=VerifyNoneBelow(L)")
-    limit = cfg.target_mode.length
-    if cfg.max_length < limit - 1:
-        raise DomainError(
-            f"max_length={cfg.max_length} cannot certify lengths below {limit}"
-        )
-    return _search(cfg, range(cfg.k - 1, limit, cfg.k))
+    return _search(cfg, range(cfg.k - 1, cfg.target_mode.length, cfg.k))
 
 
 def enumerate_crucial(cfg: SearchConfig) -> Iterator[Word]:

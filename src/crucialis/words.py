@@ -68,8 +68,8 @@ class Word:
 
 
 def _check(letters: tuple, n: int) -> None:
-    """DomainError unless 1 <= n <= MAX_ALPHABET and every letter is an int in 1..n."""
-    if not 1 <= n <= MAX_ALPHABET:
+    """DomainError unless n is an int in 1..MAX_ALPHABET and every letter is an int in 1..n."""
+    if type(n) is not int or not 1 <= n <= MAX_ALPHABET:  # a bool or float is no size
         raise DomainError(f"alphabet_size must be in 1..{MAX_ALPHABET}, got {n}")
     for a in letters:
         if type(a) is not int or not 1 <= a <= n:  # a bool is no letter
@@ -162,6 +162,8 @@ def parse_word(
         raise ParseError(f"unknown word format {fmt!r}")
     inferred = max(letters) if letters else 1
     if alphabet_size is not None:
+        if type(alphabet_size) is not int:
+            raise ParseError(f"alphabet_size must be an int, got {alphabet_size!r}")
         if alphabet_size < inferred:
             raise ParseError(
                 f"alphabet_size {alphabet_size} smaller than largest letter {inferred}"

@@ -187,7 +187,7 @@ def test_routine_exhaustive_minima():
 # Proves the minimum by exhaustive search: 122,988 nodes, about 0.4 s on one
 # core of a 2-vCPU Intel Xeon VM with Python 3.11.
 def test_exhaustive_minimum_four_letter_cubes():
-    result = search_minimal(SearchConfig(n=4, k=3, max_length=20))
+    result = search_minimal(SearchConfig(n=4, k=3))
     assert result.exhaustive
     assert result.minimal_length == 20
     assert result.nodes_expanded == 122_988
@@ -205,7 +205,7 @@ def test_no_five_letter_cube_word_below_32():
     e5 = construct_family(FamilyId.EN, 5)
     assert len(e5) == 32 and is_crucial(e5, 3)
     result = verify_none_below(
-        SearchConfig(n=5, k=3, max_length=31, target_mode=VerifyNoneBelow(32))
+        SearchConfig(n=5, k=3, target_mode=VerifyNoneBelow(32))
     )
     assert result.exhaustive
     assert result.nodes_expanded == 817_315
@@ -237,7 +237,6 @@ def test_no_four_letter_fourth_power_word_below_43(tmp_path):
             SearchConfig(
                 n=4,
                 k=4,
-                max_length=limit - 1,
                 target_mode=VerifyNoneBelow(limit),
                 node_budget=node_budget,
                 workers=workers,

@@ -8,7 +8,6 @@ from crucialis import cli, powers
 from crucialis.cli import run
 from crucialis.constructions import bounds, construct_D, construct_family, FamilyId
 from crucialis.cruciality import is_crucial
-from crucialis.search import DEFAULT_MAX_LENGTH
 from crucialis.words import WordFormat, parse_word
 
 
@@ -197,6 +196,15 @@ class TestDecompose:
         blocks4 = next(l for l in lines if l.startswith("blocks[4]:"))
         assert blocks4 == "blocks[4]: 34423311|34231134|32334114"
 
+    def test_wide_alphabet_words_are_comma_joined(self):
+        w = construct_D(10, 2)
+        text = " ".join(map(str, w.letters))
+        code, out, _ = invoke(["decompose", "--word", text, "--k", "2", "--spaced", "--n", "10"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("RESULT: decomposed deltas=")
+        assert "delta[2]: 1,9,8,7,6,5,4,3,2,3,4,5,6,7,8,9,1" in lines
+
 
 class TestProfile:
     def test_clean_profile(self):
@@ -229,12 +237,13 @@ class TestSearch:
         assert lines[0] == "RESULT: minimal_length=5 witness=12122 exhaustive=true"
         assert lines[1].startswith("nodes: ")
 
-    def test_minimal_not_found_within_max_length(self):
-        code, out, _ = invoke(
-            ["search", "--n", "3", "--k", "3", "--max-length", "9"]
-        )
-        assert code == 1
-        assert "minimal_length=none" in out.splitlines()[0]
+    def test_minimal_over_forty_letters(self):
+        code, out, _ = invoke(["search", "--n", "1", "--k", "42"])
+        assert code == 0
+        assert out.splitlines() == [
+            f"RESULT: minimal_length=41 witness={'1' * 41} exhaustive=true",
+            "nodes: 41",
+        ]
 
     def test_budget_exhausted_exit(self):
         code, out, _ = invoke(
@@ -270,7 +279,7 @@ class TestSearch:
         assert out.splitlines()[0] == "RESULT: none_below=11 certified=unknown exhaustive=false"
 
     def test_none_below_past_the_default_max_length(self):
-        # --max-length (default 40) bounds min mode only
+        # none-below scans every residue length below its target
         code, out, _ = invoke(
             ["search", "--n", "2", "--k", "3", "--mode", "none-below", "--length", "45"]
         )
@@ -278,10 +287,6 @@ class TestSearch:
         assert out.splitlines()[0] == (
             "RESULT: none_below=45 certified=false minimal_length=5 witness=12122"
         )
-
-    def test_default_max_length_is_the_library_default(self):
-        args = cli._build_parser().parse_args(["search", "--n", "2", "--k", "3"])
-        assert args.max_length == DEFAULT_MAX_LENGTH
 
     def test_enumerate_lists_words(self):
         code, out, _ = invoke(
@@ -297,6 +302,16 @@ class TestSearch:
         code, out, err = invoke(["search", "--n", "3", "--k", "3", "--time-budget", "nan"])
         assert code == 2
         assert out == "" and "time_budget" in err
+
+    def test_enumerate_under_tripping_budget(self):
+        code, out, _ = invoke(
+            [
+                "search", "--n", "3", "--k", "3", "--mode", "enumerate",
+                "--length", "11", "--node-budget", "10",
+            ]
+        )
+        assert code == 3
+        assert out == "RESULT: crucial_words_found=0 exhaustive=false\n"
 
     def test_enumerate_requires_length(self):
         code, _, err = invoke(["search", "--n", "2", "--k", "3", "--mode", "enumerate"])
@@ -410,6 +425,11 @@ class TestTable:
         code, _, err = invoke(["table", "bounds", "--n", "5:2"])
         assert code == 2
         assert err != ""
+
+    def test_range_not_a_number(self):
+        code, out, err = invoke(["table", "bounds", "--n", "a"])
+        assert code == 2
+        assert out == "" and "bad range" in err
 
 
 class TestUsage:

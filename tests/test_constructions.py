@@ -356,11 +356,21 @@ class TestFamilyTable:
             outside.append((n_max + 1, fixed or k_min))
         if fixed is not None:
             outside.append((n_min, fixed + 1))
+        else:
+            outside.append((n_min, float(k_min)))  # a float is no exponent
+        outside.append((float(n_min), fixed or k_min))  # nor alphabet size
+        if n_min == 1:
+            outside.append((True, fixed or k_min))  # a bool is no size, though True == 1
         for n, k in outside:
             with pytest.raises(DomainError):
                 construct_family(fam, n, k)
             with pytest.raises(DomainError):
                 family_length(fam, n, k)
+
+    @pytest.mark.parametrize("n,k", [(True, 3), (3.0, 3), (3, 3.0), (3, True)])
+    def test_bounds_rejects_non_int_arguments(self, n, k):
+        with pytest.raises(DomainError):
+            bounds(n, k)
 
     def test_bounds_upper_restates_the_paper_conditions(self):
         for n in range(1, 13):

@@ -28,3 +28,15 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_budget_line_reports_a_tripped_budget():
+    # the demo's budget example must trip its budget, or its "not proven" is false
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "minimal_search.py")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    line = next(l for l in proc.stdout.splitlines() if "node budget" in l)
+    assert "exhaustive=False (the verdict is not proven)" in line

@@ -77,6 +77,11 @@ class TestFindAbelianPower:
         with pytest.raises(DomainError):
             find_abelian_power(parse_word("11"), 1)
 
+    @pytest.mark.parametrize("k", [2.0, True])
+    def test_rejects_non_int_exponent(self, k):
+        with pytest.raises(DomainError):
+            find_abelian_power(parse_word("11"), k)
+
     def test_empty_word_is_free(self):
         assert find_abelian_power(Word((), 1), 2) is None
 

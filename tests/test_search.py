@@ -55,11 +55,18 @@ class TestSearchMinimal:
         assert result.minimal_length == 3
         assert result.exhaustive
 
-    def test_no_witness_within_max_length(self):
-        result = search_minimal(SearchConfig(n=3, k=3, max_length=10))
-        assert result.minimal_length is None
-        assert result.witness is None
+    def test_minimum_over_forty_letters(self):
+        # the scan runs up to bounds(n, k).upper, so a long minimum is found
+        result = search_minimal(SearchConfig(n=1, k=42))
+        assert result.minimal_length == 41
+        assert str(result.witness) == "1" * 41
         assert result.exhaustive
+        assert result.nodes_expanded == 41
+
+    def test_scan_past_the_target_length_limit_is_refused(self):
+        # bounds(3, 41).upper is 65,599: no scan is truncated to report "none"
+        with pytest.raises(DomainError):
+            search_minimal(SearchConfig(n=3, k=41))
 
     def test_mode_mismatch(self):
         cfg = SearchConfig(n=2, k=3, target_mode=VerifyNoneBelow(5))
@@ -140,7 +147,7 @@ class TestDeterminism:
         script = (
             "import sys\n"
             "from crucialis.search import SearchConfig, search_minimal\n"
-            "r = search_minimal(SearchConfig(n=5, k=3, max_length=32, workers=2,\n"
+            "r = search_minimal(SearchConfig(n=5, k=3, workers=2,\n"
             "    node_budget=10**7, checkpoint_path=sys.argv[1]))\n"
             "print(r.exhaustive, r.minimal_length, r.nodes_expanded)\n"
         )
@@ -375,11 +382,6 @@ class TestVerifyNoneBelow:
         assert str(result.witness) == "12122"
         assert result.exhaustive
 
-    def test_max_length_must_cover_range(self):
-        cfg = SearchConfig(n=3, k=3, max_length=5, target_mode=VerifyNoneBelow(11))
-        with pytest.raises(DomainError):
-            verify_none_below(cfg)
-
     def test_mode_mismatch(self):
         with pytest.raises(DomainError):
             verify_none_below(SearchConfig(n=2, k=3))
@@ -439,7 +441,7 @@ class TestBudgets:
         assert par == seq
 
     def test_time_budget_trips_to_unproven(self):
-        result = search_minimal(SearchConfig(n=4, k=3, time_budget=1e-9, max_length=20))
+        result = search_minimal(SearchConfig(n=4, k=3, time_budget=1e-9))
         assert not result.exhaustive
         assert result.minimal_length is None
 
@@ -608,6 +610,29 @@ class TestCheckpoints:
         par = search_minimal(SearchConfig(n=3, k=3, workers=3, checkpoint_path=path))
         assert par == search_minimal(SearchConfig(n=3, k=3))
 
+    @pytest.mark.parametrize("budget", [200, 250, 300])
+    def test_parallel_writes_the_sequential_checkpoint(self, tmp_path, budget):
+        # a pool branch that completes past the budget left is one a
+        # sequential run never finishes, so neither run records it
+        files = []
+        for workers in (1, 2):
+            path = tmp_path / f"w{workers}.ckpt"
+            cfg = SearchConfig(n=3, k=3, node_budget=budget, workers=workers, checkpoint_path=path)
+            assert not search_minimal(cfg).exhaustive
+            files.append(path.read_text())
+        assert files[0] == files[1]
+
+    def test_time_budget_trips_between_branches(self, tmp_path):
+        # every branch is in the file, so none is walked: only the check made
+        # after each recorded branch can trip
+        path = tmp_path / "scan.ckpt"
+        full = search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path))
+        size = path.stat().st_size
+        result = search_minimal(SearchConfig(n=3, k=3, time_budget=1e-9, checkpoint_path=path))
+        assert full.exhaustive and not result.exhaustive
+        assert result.nodes_expanded < full.nodes_expanded
+        assert path.stat().st_size == size
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
@@ -615,7 +640,7 @@ class TestConfigValidation:
         [
             dict(n=0, k=3),
             dict(n=2, k=1),
-            dict(n=2, k=3, max_length=0),
+            dict(n=True, k=3),
             dict(n=2, k=3, node_budget=0),
             dict(n=2, k=3, time_budget=0.0),
             dict(n=2, k=3, time_budget=float("nan")),
@@ -624,6 +649,12 @@ class TestConfigValidation:
             dict(n=2, k=3, target_mode=VerifyNoneBelow(-1)),
             dict(n=2, k=3, target_mode=EnumerateAllCrucialAtLength(1 << 16)),
             dict(n=2, k=3, target_mode=VerifyNoneBelow(1 << 16)),
+            dict(n=3, k=3.0),
+            dict(n=2.0, k=3),
+            dict(n=2, k=3, workers=2.0),
+            dict(n=2, k=3, node_budget=2.5),
+            dict(n=2, k=3, node_budget=True),
+            dict(n=2, k=3, target_mode=VerifyNoneBelow(11.5)),
         ],
     )
     def test_rejected(self, kwargs):
@@ -632,7 +663,6 @@ class TestConfigValidation:
 
     def test_defaults(self):
         cfg = SearchConfig(n=2, k=3)
-        assert cfg.max_length == 40
         assert isinstance(cfg.target_mode, FindMinimalCrucial)
         assert cfg.symmetry_reduction
         assert cfg.workers == 1

@@ -41,7 +41,15 @@ class TestWordType:
 
     @pytest.mark.parametrize(
         "letters,n",
-        [((0, 1), 2), ((1, 3), 2), ((1,), 0), ((1,), MAX_ALPHABET + 1), ((True, 2), 2)],
+        [
+            ((0, 1), 2),
+            ((1, 3), 2),
+            ((1,), 0),
+            ((1,), MAX_ALPHABET + 1),
+            ((True, 2), 2),
+            ((1,), True),
+            ((1,), 2.0),
+        ],
     )
     def test_rejects_out_of_range(self, letters, n):
         with pytest.raises(DomainError):
@@ -134,6 +142,11 @@ class TestParseRender:
         with pytest.raises(ParseError):
             parse_word("123", alphabet_size=2)
 
+    @pytest.mark.parametrize("size", [True, 2.5, 2.0])
+    def test_parse_rejects_non_int_alphabet(self, size):
+        with pytest.raises(ParseError):
+            parse_word("1", alphabet_size=size)
+
     def test_render_compact_needs_small_alphabet(self):
         w = Word((10, 2), 10)
         with pytest.raises(FormatError):
@@ -145,6 +158,13 @@ class TestCorpus:
         src = io.StringIO("# header\n\n1 2 1\n2 1 1 2\n   \n# tail\n")
         ws = list(read_corpus(src))
         assert [w.letters for w in ws] == [(1, 2, 1), (2, 1, 1, 2)]
+
+    def test_reads_a_file_path(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text("# two words\n1 2 1\n10 1 10\n", encoding="utf-8")
+        ws = read_corpus(path)
+        assert [(w.letters, w.alphabet_size) for w in ws] == [((1, 2, 1), 2), ((10, 1, 10), 10)]
+        assert read_corpus(str(path)) == ws
 
     def test_round_trips_own_rendering(self):
         words_in = [word((1, 2, 1)), Word((10, 1, 10), 10)]
