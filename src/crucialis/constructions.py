@@ -46,11 +46,15 @@ class _Recipe(NamedTuple):
     length: Callable[[int, int], int]
 
 
+def _require_ints(n: int, k: int) -> None:
+    if type(n) is not int or type(k) is not int:  # a bool or float is neither
+        raise DomainError(f"n and k must be ints, got n={n!r}, k={k!r}")
+
+
 def _admit(recipe: _Recipe, n: int, k: int, length_cap: int | None = None) -> int:
     """The length of the recipe's word at (n, k). Raises DomainError outside
     the recipe's domain and CapacityError over length_cap."""
-    if type(n) is not int or type(k) is not int:  # a bool or float is neither
-        raise DomainError(f"n and k must be ints, got n={n!r}, k={k!r}")
+    _require_ints(n, k)
     if not recipe.n_min <= n <= (recipe.n_max or n):
         top = "" if recipe.n_max is None else f" and n <= {recipe.n_max}"
         raise DomainError(f"need n >= {recipe.n_min}{top}, got {n}")
@@ -252,13 +256,16 @@ def family_exponent(family: FamilyId) -> int | None:
     return _FAMILY_TABLE[family][1]
 
 
-def _exponent_for(family: FamilyId, k: int | None) -> int:
+def _exponent_for(family: FamilyId, n: int, k: int | None) -> int:
     fixed = _FAMILY_TABLE[family][1]
-    if fixed is None and k is None:
-        raise DomainError(f"family {family.value} requires an exponent k")
-    if fixed is not None and k not in (None, fixed):
+    if k is None:
+        if fixed is None:
+            raise DomainError(f"family {family.value} requires an exponent k")
+        return fixed
+    _require_ints(n, k)  # before the comparison, which 3.0 == 3 would pass
+    if fixed not in (None, k):
         raise DomainError(f"family {family.value} is fixed to exponent {fixed}, got k={k}")
-    return fixed or k
+    return k
 
 
 def construct_family(family: FamilyId, n: int, k: int | None = None) -> Word:
@@ -267,13 +274,13 @@ def construct_family(family: FamilyId, n: int, k: int | None = None) -> Word:
     Families with a fixed exponent accept k equal to that exponent or omitted;
     parameterised families require k.
     """
-    return _FAMILY_TABLE[family][0].build(n, _exponent_for(family, k))
+    return _FAMILY_TABLE[family][0].build(n, _exponent_for(family, n, k))
 
 
 def family_length(family: FamilyId, n: int, k: int | None = None) -> int:
     """The length of construct_family(family, n, k), by formula: the word is
     not built. Outside the family's domain it raises DomainError."""
-    return _admit(_FAMILY_TABLE[family][0], n, _exponent_for(family, k))
+    return _admit(_FAMILY_TABLE[family][0], n, _exponent_for(family, n, k))
 
 
 def _holds(family: FamilyId, n: int, k: int) -> bool:

@@ -135,6 +135,17 @@ recorded branches and appends new ones; find and verify runs of the same
 lock on its file while it runs, and a second search on the same file raises
 DomainError without touching it. A torn final line, left by an interrupted
 write, is cut off on load; a malformed line anywhere else raises DomainError.
+
+The compiled walker. For n <= 7, with gcc on PATH, _branches and
+_scan_branch run the walk on _walk.c, a second copy of _walk in C that
+_native.py builds on first use into a user cache (README, "Compiled
+walker"). _walk stays the definition of the walk, the fallback wherever
+the copy cannot run, and the oracle that tests/test_native_walk.py holds
+the copy to, node for node. Results, node counts, enumerated words and
+checkpoint files are the same on either walker. The header of _walk.c
+shows why its 128-bit arithmetic, which wraps around, gives the values of
+Python's unbounded ints for n <= 7 and L <= 65,535. A compiled branch scan
+cannot see Ctrl-C: the interrupt is raised when the scan returns.
 """
 
 from __future__ import annotations
@@ -146,6 +157,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterator, Union
 
+from . import _native
 from .constructions import bounds
 from .errors import BudgetExhaustedError, CrucialisError, DomainError
 from .powers import _require_exponent, _suffix_power_from_prefixes
@@ -431,6 +443,11 @@ def _w_canonical(r: list[int]) -> tuple[int, ...]:
     return tuple(names.setdefault(a, len(names) + 1) for a in reversed(r))
 
 
+def _reversed(r: list[int]) -> tuple[int, ...]:
+    """The word W whose reverse is r."""
+    return tuple(reversed(r))
+
+
 @dataclass
 class _Tally:
     """The words a scan finds: how many, the least, and each one if `words`
@@ -454,6 +471,11 @@ class _Tally:
         self.add(1, w, (w,))
 
 
+def _fast_walk(*args) -> tuple[int, bool]:
+    """_walk, run by the compiled walker when it can run it (see _native)."""
+    return _native.walk(*args) or _walk(*args)
+
+
 def _branches(
     n: int, k: int, depth: int, full_length: int, reduction: bool, node_cap: int | None = None
 ) -> tuple[list[tuple[int, ...]], int]:
@@ -464,7 +486,7 @@ def _branches(
     a count over node_cap means the cap tripped and the prefixes are partial.
     """
     prefixes: list[tuple[int, ...]] = []
-    nodes, _ = _walk(n, k, full_length, (), reduction, depth, node_cap, None, _Tally(prefixes))
+    nodes, _ = _fast_walk(n, k, full_length, (), reduction, depth, node_cap, None, _Tally(prefixes))
     return prefixes, nodes
 
 
@@ -477,9 +499,8 @@ def _scan_branch(task: tuple) -> tuple[int, int, tuple[int, ...] | None, list | 
     else None, and whether a budget tripped mid-branch.
     """
     n, k, L, prefix, reduction, keep, node_cap, deadline = task
-    form = _w_canonical if reduction else lambda r: tuple(reversed(r))
-    tally = _Tally([] if keep else None, form)
-    nodes, tripped = _walk(n, k, L, prefix, reduction, L, node_cap, deadline, tally)
+    tally = _Tally([] if keep else None, _w_canonical if reduction else _reversed)
+    nodes, tripped = _fast_walk(n, k, L, prefix, reduction, L, node_cap, deadline, tally)
     return nodes, tally.count, tally.least, tally.words, tripped
 
 

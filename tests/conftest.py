@@ -1,8 +1,22 @@
 """Checks that hold for every test."""
 
 import multiprocessing
+import os
 
 import pytest
+
+
+@pytest.fixture(autouse=True, scope="session")
+def walker_cache(tmp_path_factory):
+    """Build the compiled walker into a cache of the session's own, which the
+    CLI processes the tests start share, and not into the user's cache."""
+    before = os.environ.get("XDG_CACHE_HOME")
+    os.environ["XDG_CACHE_HOME"] = str(tmp_path_factory.mktemp("cache"))
+    yield
+    if before is None:
+        del os.environ["XDG_CACHE_HOME"]
+    else:
+        os.environ["XDG_CACHE_HOME"] = before
 
 
 @pytest.fixture(autouse=True)

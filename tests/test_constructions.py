@@ -356,6 +356,7 @@ class TestFamilyTable:
             outside.append((n_max + 1, fixed or k_min))
         if fixed is not None:
             outside.append((n_min, fixed + 1))
+            outside.append((n_min, float(fixed)))  # equal to the exponent, but no int
         else:
             outside.append((n_min, float(k_min)))  # a float is no exponent
         outside.append((float(n_min), fixed or k_min))  # nor alphabet size

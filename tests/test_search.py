@@ -133,22 +133,26 @@ class TestDeterminism:
         assert par == seq
 
     def test_parallel_budget_trip_stops_running_workers(self, tmp_path):
-        # Record every branch below length 32 as scanned and empty, then the
-        # first length-32 branch with a node count over the budget. The
-        # workers=2 run trips on consuming that record while its workers are
-        # still scanning the next branches, each capped near the budget.
+        # Without reduction, (3,5) has three length-39 branches of 420.8 M
+        # nodes, (1,1,1,1) and its renamings (2,2,2,2) and (3,3,3,3). Record
+        # every branch below length 39 as scanned and empty, the first
+        # length-39 branch with a node count over the budget, and every other
+        # one as scanned but two of the large ones. The workers=2 run trips on
+        # consuming that record while its workers are still scanning those
+        # two, each capped at the budget.
         path = tmp_path / "scan.ckpt"
-        ckpt = _Checkpoint(path, SearchConfig(n=5, k=3))
-        for L in range(2, 32, 3):
-            for prefix in _branches(5, 3, min(4, L), L, True)[0]:
-                ckpt.record(L, prefix, 1, 0, None)
-        ckpt.record(32, _branches(5, 3, 4, 32, True)[0][0], 10**7 + 1, 0, None)
+        ckpt = _Checkpoint(path, SearchConfig(n=3, k=5, symmetry_reduction=False))
+        for L in range(4, 40, 5):
+            for prefix in _branches(3, 5, min(4, L), L, False)[0]:
+                if prefix not in ((2, 2, 2, 2), (3, 3, 3, 3)):
+                    over = L == 39 and prefix == (1, 1, 1, 1)
+                    ckpt.record(L, prefix, 10**9 + 1 if over else 1, 0, None)
         ckpt.close()  # releases the lock for the search below
         script = (
             "import sys\n"
             "from crucialis.search import SearchConfig, search_minimal\n"
-            "r = search_minimal(SearchConfig(n=5, k=3, workers=2,\n"
-            "    node_budget=10**7, checkpoint_path=sys.argv[1]))\n"
+            "r = search_minimal(SearchConfig(n=3, k=5, symmetry_reduction=False,\n"
+            "    workers=2, node_budget=10**9, checkpoint_path=sys.argv[1]))\n"
             "print(r.exhaustive, r.minimal_length, r.nodes_expanded)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(crucialis.__file__).parents[1]))
@@ -157,16 +161,18 @@ class TestDeterminism:
             [sys.executable, "-c", script, str(path)],
             capture_output=True, text=True, env=env, timeout=60,
         )
-        # a worker left to finish its branch would scan 3 M nodes or more, over 4.7 s
+        # a worker left to finish its branch would scan 420.8 M nodes, over 10 s
+        # on the compiled walker
         assert time.monotonic() - started < 5.0
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "None", str(10**7 + 1)]
+        assert proc.stdout.split() == ["False", "None", str(10**9 + 1)]
 
 
     def test_dead_worker_fails_the_search(self, tmp_path):
         # A pool never delivers the branch of a worker that died. SIGKILL a
-        # worker while it scans a length-29 branch: the search must raise,
-        # stop every worker and free its checkpoint for the next search.
+        # worker while it scans the length-39 branch (1,1,1,1) of (3,5), of
+        # 420.8 M nodes: the search must raise, stop every worker and free its
+        # checkpoint for the next search.
         script = (
             "import multiprocessing, os, signal, sys, threading, time\n"
             "from crucialis.errors import CrucialisError\n"
@@ -190,11 +196,11 @@ class TestDeterminism:
             "                break\n"
             "        time.sleep(0.01)\n"
             "def cfg(limit, workers):\n"
-            "    return SearchConfig(n=5, k=3, target_mode=VerifyNoneBelow(limit),\n"
+            "    return SearchConfig(n=3, k=5, target_mode=VerifyNoneBelow(limit),\n"
             "        workers=workers, checkpoint_path=sys.argv[1])\n"
             "threading.Thread(target=kill_one, daemon=True).start()\n"
             "try:\n"
-            "    verify_none_below(cfg(32, 2))\n"
+            "    verify_none_below(cfg(40, 2))\n"
             "    print('finished')\n"
             "except CrucialisError:\n"
             "    pid, at = killed[0]\n"
@@ -217,15 +223,16 @@ class TestDeterminism:
         assert rest[1:] == ["0", "reaped", "True"]
 
     def test_idle_dead_worker_fails_the_search(self, tmp_path):
-        # An idle worker waits on the pool's task queue. Leave two length-27
-        # branches unscanned, of 831,102 and 3,114 nodes, and SIGKILL the
-        # worker that sleeps while the other scans: the search must raise,
-        # stop every worker and free its checkpoint for the next search.
+        # An idle worker waits on the pool's task queue. Leave two length-39
+        # branches of (3,5) unscanned, of 420,834,773 and 55,095 nodes, and
+        # SIGKILL the worker that sleeps while the other scans: the search
+        # must raise, stop every worker and free its checkpoint for the next
+        # search.
         path = tmp_path / "scan.ckpt"
-        ckpt = _Checkpoint(path, SearchConfig(n=3, k=4))
-        for L in range(3, 28, 4):
-            for prefix in _branches(3, 4, min(4, L), L, True)[0]:
-                if L < 27 or prefix not in ((1, 1, 1, 2), (1, 2, 3, 3)):
+        ckpt = _Checkpoint(path, SearchConfig(n=3, k=5))
+        for L in range(4, 40, 5):
+            for prefix in _branches(3, 5, min(4, L), L, True)[0]:
+                if L < 39 or prefix not in ((1, 1, 1, 1), (1, 2, 3, 3)):
                     ckpt.record(L, prefix, 1, 0, None)
         ckpt.close()  # releases the lock for the search below
         script = (
@@ -251,11 +258,11 @@ class TestDeterminism:
             "            killed.append((idle, time.monotonic()))\n"
             "        time.sleep(0.01)\n"
             "def cfg(limit, workers):\n"
-            "    return SearchConfig(n=3, k=4, target_mode=VerifyNoneBelow(limit),\n"
+            "    return SearchConfig(n=3, k=5, target_mode=VerifyNoneBelow(limit),\n"
             "        workers=workers, checkpoint_path=sys.argv[1])\n"
             "threading.Thread(target=kill_idle, daemon=True).start()\n"
             "try:\n"
-            "    verify_none_below(cfg(28, 2))\n"
+            "    verify_none_below(cfg(40, 2))\n"
             "    print('finished')\n"
             "except CrucialisError:\n"
             "    pid, at = killed[0]\n"

@@ -44,9 +44,9 @@ def _git(*args: str) -> str:
 
 
 def _src_digest() -> str:
-    """SHA-256 over the path and bytes of every Python file under src/."""
+    """SHA-256 over the path and bytes of every Python and C file under src/."""
     h = hashlib.sha256()
-    for path in sorted((ROOT / "src").rglob("*.py")):
+    for path in sorted(p for p in (ROOT / "src").rglob("*") if p.suffix in (".py", ".c")):
         h.update(str(path.relative_to(ROOT)).encode() + b"\0" + path.read_bytes() + b"\0")
     return h.hexdigest()
 
