@@ -157,7 +157,6 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterator, Union
 
-from . import _native
 from .constructions import bounds
 from .errors import BudgetExhaustedError, CrucialisError, DomainError
 from .powers import _require_exponent, _suffix_power_from_prefixes
@@ -472,7 +471,9 @@ class _Tally:
 
 
 def _fast_walk(*args) -> tuple[int, bool]:
-    """_walk, run by the compiled walker when it can run it (see _native)."""
+    """_walk, run by the compiled walker when it can run it."""
+    from . import _native  # on the first walk, so that importing crucialis reads no more
+
     return _native.walk(*args) or _walk(*args)
 
 
