@@ -21,8 +21,7 @@ _SOURCE = Path(__file__).with_name("_walk.c")
 _FLAGS = ("-std=c11", "-O3", "-fPIC", "-shared")
 _BUILD_TIMEOUT_S = 120.0
 _MAX_LETTERS = 7  # the lanes of 7 letters fill 119 of the 128 bits
-_BATCH_BYTES = 1 << 14  # kept words come back to Python in batches this size
-_NODES_MAX = (1 << 63) - 1  # a node cap at least this never trips; ctypes would wrap a larger one
+_NODES_MAX = (1 << 63) - 1  # a node cap at least this never trips, and a larger one fits no slot
 
 
 def _cache_dir() -> Path:
@@ -72,7 +71,7 @@ def _build(out: Path) -> bool:
 
 @lru_cache(maxsize=None)
 def _library():
-    """The walk function of the built library, or None if it cannot be had.
+    """The built library, or None if it cannot be had.
 
     ctypes is imported here, on the first walk, so importing crucialis loads
     neither it nor a compiler. A forked pool worker inherits the loaded
@@ -94,18 +93,14 @@ def _library():
         path = _cache_dir() / f"walk-{digest[:32]}.so"
         if not path.exists() and not _build(path):
             return None
-        fn = ctypes.CDLL(str(path)).crucialis_walk
+        lib = ctypes.CDLL(str(path))
     except OSError:
         return None
-    fn.restype = ctypes.c_int
-    fn.argtypes = (
-        [ctypes.c_int] * 3 + [ctypes.c_char_p] + [ctypes.c_int] * 3  # n, k, L, prefix, plen, reduction, stop
-        + [ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_int]  # node_cap, deadline, lanes, top
-        + [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int]  # events, lists, nlists
-        + [ctypes.c_int, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]  # form, batch, batch_words, flush
-        + [ctypes.c_void_p, ctypes.c_void_p]  # out, least
-    )
-    return fn
+    lib.crucialis_free.restype = None
+    lib.crucialis_free.argtypes = [ctypes.c_void_p]
+    lib.crucialis_walk.restype = ctypes.c_int
+    lib.crucialis_walk.argtypes = [ctypes.c_void_p, ctypes.c_double]
+    return lib
 
 
 @lru_cache(maxsize=None)
@@ -116,35 +111,29 @@ def _forms() -> dict:
     return {tuple: 0, _w_canonical: 1, _reversed: 2}
 
 
-@lru_cache(maxsize=None)
-def _lane_table(n: int) -> tuple[array, int]:
-    """search._lanes(n) as (low, high) 64-bit pairs, unit[0..n], bit[0..n],
-    full and fill, and the lane's top bit."""
+@lru_cache(maxsize=64)
+def _tables(n: int, k: int, L: int) -> tuple[tuple[int, ...], tuple]:
+    """The slots A_N..A_NLISTS of _walk.c's argument, and the arrays they
+    point at, which must outlive every call.
+
+    search._lanes(n) goes as (low, high) 64-bit pairs: unit[0..n],
+    bit[0..n], full and fill. search._slot_events(k, L) goes flattened, a row
+    of 12 ints per depth (the enum in _walk.c names them) and the list
+    entries the rows point at: every (b, j) check pair first, so each depth's
+    pairs start at an even offset, then the half and prog entries."""
     from array import array
 
-    from .search import _LANE, _lanes
+    from .search import _LANE, _lanes, _slot_events
 
     unit, bit, _, full, fill = _lanes(n)
     mask = (1 << 64) - 1
-    return array("Q", (x for v in (*unit, *bit, full, fill) for x in (v & mask, v >> 64))), _LANE - 1
-
-
-@lru_cache(maxsize=64)
-def _event_table(k: int, L: int) -> tuple[array, array]:
-    """search._slot_events(k, L) flattened for _walk.c: a row of 12 ints per
-    depth (its enum names them) and the list entries the rows point at, every
-    (b, j) check pair first, so each depth's pairs start at an even offset,
-    then the half and prog entries."""
-    from array import array
-
-    from .search import _slot_events
-
-    events = _slot_events(k, L)
-    pairs = [x for ev, *_ in events if ev for b, j in ev[2] for x in (b, j)]
+    lanes = array("Q", (x for v in (*unit, *bit, full, fill) for x in (v & mask, v >> 64)))
+    slots = _slot_events(k, L)
+    pairs = [x for ev, *_ in slots if ev for b, j in ev[2] for x in (b, j)]
     rest: list[int] = []
     rows: list[int] = []
     at = 0
-    for ev, cap, doubtful, free, half, prog in events:
+    for ev, cap, doubtful, free, half, prog in slots:
         nb, rb, checks = ev or (0, 0, ())
         rows += (ev is not None, nb, rb, cap, doubtful, free, at, len(checks))
         at += 2 * len(checks)
@@ -152,7 +141,10 @@ def _event_table(k: int, L: int) -> tuple[array, array]:
         rest += half
         rows += (len(pairs) + len(rest), len(prog))
         rest += prog
-    return array("i", rows), array("i", pairs + rest or [0])  # never empty, so never NULL
+    events = array("i", rows)
+    lists = array("i", pairs + rest or [0])  # never empty, so never NULL
+    fixed = (n, k, L, _LANE - 1, *(t.buffer_info()[0] for t in (lanes, events, lists)), len(lists))
+    return fixed, (lanes, events, lists)
 
 
 def walk(n, k, L, prefix, reduction, stop, node_cap, deadline, tally):
@@ -162,49 +154,34 @@ def walk(n, k, L, prefix, reduction, stop, node_cap, deadline, tally):
     Buffers go to C as array.array addresses, alive for the call: a ctypes
     array of a new size would create a ctypes type, cyclic garbage."""
     form = _forms().get(tally.form)
-    if form is None or not n <= min(_MAX_LETTERS, (L + 1) // k):
-        return None  # _walk returns at once when there are fewer slots than letters
-    fn = _library()
-    if fn is None:
+    if form is None or n > _MAX_LETTERS:
+        return None
+    lib = _library()
+    if lib is None:
         return None
     from array import array
 
-    lanes, top = _lane_table(n)
-    events, lists = _event_table(k, L)
-    out = array("q", bytes(32))  # nodes, tripped, words found, words left in the batch
+    tables = _tables(n, k, L)  # held here, so that the arrays outlive the call
+    letters = array("B", prefix)
     least = array("B", bytes(stop))
     keep = tally.words
-    batch_words, batch, flush, failed = 0, None, None, []
-    if keep is not None:
-        import ctypes
-        import struct
-
-        batch_words = max(1, _BATCH_BYTES // stop)
-        batch = array("B", bytes(batch_words * stop))
-        shape = f"{stop}B"
-
-        def take(words: int) -> None:
-            try:
-                keep.extend(struct.iter_unpack(shape, memoryview(batch)[: words * stop]))
-            except BaseException as exc:  # ctypes would print it and drop the words
-                failed.append(exc)
-
-        flush = ctypes.CFUNCTYPE(None, ctypes.c_int64)(take)
-    status = fn(
-        n, k, L, bytes(prefix), len(prefix), reduction, stop,
+    a = array("q", tables[0])
+    a.extend((  # the slots A_PREFIX..A_KEPT
+        letters.buffer_info()[0], len(prefix), reduction, stop,
         -1 if node_cap is None else min(node_cap, _NODES_MAX),
-        -1.0 if deadline is None else deadline,
-        lanes.buffer_info()[0], top, events.buffer_info()[0], lists.buffer_info()[0], len(lists),
-        form, None if batch is None else batch.buffer_info()[0], batch_words, flush,
-        out.buffer_info()[0], least.buffer_info()[0],
-    )
-    if status != 0:
+        form, keep is not None, least.buffer_info()[0], 0, 0, 0, 0,
+    ))
+    if lib.crucialis_walk(a.buffer_info()[0], -1.0 if deadline is None else deadline):
         raise MemoryError("the compiled walker ran out of memory")
-    nodes, tripped, count, held = out
-    if held:
-        take(held)
-    if failed:
-        raise failed[0]
+    nodes, tripped, count, kept = a[-4:]
     if count:
+        if keep is not None:
+            import ctypes
+            import struct
+
+            try:
+                keep.extend(struct.iter_unpack(f"{stop}B", ctypes.string_at(kept, count * stop)))
+            finally:
+                lib.crucialis_free(kept)
         tally.add(count, tuple(least))
     return nodes, bool(tripped)

@@ -43,18 +43,15 @@ enum { EV, NB, RB, CAP, DOUBTFUL, FREE, CHECKS, NCHECKS, HALF, NHALF, PROG, NPRO
 /* Leaf forms: R itself, the W-canonical form, the plain reverse of R */
 enum { FORM_R, FORM_W_CANONICAL, FORM_REVERSED };
 
-typedef void (*flush_fn)(int64_t words);
-
 typedef struct {
     int a, last, seen, nslot, recount;
     u128 done, named, d, c, nbase, nceil, rbit, rtarget;
 } Frame;
 
 typedef struct {
-    int stop, form;
-    uint8_t *word, *formed, *least, *batch;
-    int64_t count, held, batch_words;
-    flush_fn flush;
+    int stop, form, keep;
+    uint8_t *word, *formed, *least, *kept;
+    int64_t count, room;
 } Leaves;
 
 static int popcount(u128 v)
@@ -78,12 +75,21 @@ static int letter_of(u128 v, const u128 *unit, int n)
     return 0;
 }
 
-/* _Tally.leaf: map the word to its form, count it, keep the least, and add
- * it to the batch when words are kept */
-static void leaf(Leaves *lv)
+/* _Tally.leaf: map the word to its form, count it, keep the least, and
+ * append it to the kept words when words are kept. 0, or -1 when the kept
+ * words cannot grow */
+static int leaf(Leaves *lv)
 {
     int stop = lv->stop;
-    uint8_t *out = lv->batch ? lv->batch + lv->held * stop : lv->formed;
+    if (lv->keep && lv->count == lv->room) {
+        int64_t room = lv->room ? 2 * lv->room : 64;
+        uint8_t *kept = realloc(lv->kept, (size_t)room * (size_t)stop);
+        if (!kept)
+            return -1;
+        lv->kept = kept;
+        lv->room = room;
+    }
+    uint8_t *out = lv->keep ? lv->kept + lv->count * stop : lv->formed;
     if (lv->form == FORM_R) {
         memcpy(out, lv->word, (size_t)stop);
     } else if (lv->form == FORM_REVERSED) {
@@ -101,31 +107,53 @@ static void leaf(Leaves *lv)
     }
     if (lv->count++ == 0 || memcmp(out, lv->least, (size_t)stop) < 0)
         memcpy(lv->least, out, (size_t)stop);
-    if (lv->batch && ++lv->held == lv->batch_words) {
-        lv->flush(lv->held);
-        lv->held = 0;
-    }
+    return 0;
 }
 
-/* The walk of search._walk from `prefix` down to `stop` letters.
- *
- * lanes holds unit[0..n], bit[0..n], full and fill as (low, high) 64-bit
- * pairs, and top is the lane's top bit. events holds ROW ints per depth
- * t = 0..L, and lists the (b, j) pairs, half and prog entries they point at.
- * node_cap < 0 means no cap, deadline < 0 no deadline. Leaves are mapped to
- * `form`; each one is counted and the least is kept in `least`. With a batch,
- * each word is also written there, and flush(words) is called whenever
- * batch_words of them are held. out receives the nodes, whether a budget
- * tripped, the words found and the words left in the batch.
- *
- * Returns 0, or -1 if memory ran out before the walk started. */
-int crucialis_walk(int n, int k, int L, const uint8_t *prefix, int plen, int reduction,
-                   int stop, int64_t node_cap, double deadline, const uint64_t *lanes,
-                   int top, const int32_t *events, const int32_t *lists, int nlists,
-                   int form, uint8_t *batch, int64_t batch_words, flush_fn flush,
-                   int64_t *out, uint8_t *least)
+/* Frees the kept words a walk handed back */
+void crucialis_free(void *kept)
 {
-    out[0] = out[1] = out[2] = out[3] = 0;
+    free(kept);
+}
+
+/* The slots of the one argument of crucialis_walk, 64 bits each. The
+ * caller fills those before A_NODES; the walk writes the rest. */
+enum {
+    A_N, A_K, A_L, A_TOP, A_LANES, A_EVENTS, A_LISTS, A_NLISTS, /* fixed by (n, k, L) */
+    A_PREFIX, A_PLEN, A_REDUCTION, A_STOP, A_NODE_CAP, A_FORM, A_KEEP, A_LEAST,
+    A_NODES, A_TRIPPED, A_COUNT, A_KEPT, A_SLOTS
+};
+
+#define ADDRESS(type, slot) ((type)(uintptr_t)a[slot])
+
+/* The walk of search._walk from a prefix of A_PLEN letters at A_PREFIX down
+ * to A_STOP letters.
+ *
+ * A_LANES holds unit[0..n], bit[0..n], full and fill as (low, high) 64-bit
+ * pairs, and A_TOP is the lane's top bit. A_EVENTS holds ROW ints per depth
+ * t = 0..L, and A_LISTS the A_NLISTS (b, j) pairs, half and prog entries
+ * they point at. A_NODE_CAP < 0 means no cap, deadline < 0 no deadline.
+ * Leaves are mapped to A_FORM; each one is counted and the least is kept at
+ * A_LEAST. With A_KEEP, every word is also kept, in order, in a buffer whose
+ * address goes to A_KEPT, which the caller frees with crucialis_free.
+ * A_NODES, A_TRIPPED and A_COUNT receive the nodes, whether a budget tripped
+ * and the words found.
+ *
+ * Returns 0, or -1 if memory ran out; then nothing is kept. */
+int crucialis_walk(int64_t *a, double deadline)
+{
+    int n = (int)a[A_N], k = (int)a[A_K], L = (int)a[A_L], top = (int)a[A_TOP];
+    const uint64_t *lanes = ADDRESS(const uint64_t *, A_LANES);
+    const int32_t *events = ADDRESS(const int32_t *, A_EVENTS);
+    const int32_t *lists = ADDRESS(const int32_t *, A_LISTS);
+    int64_t nlists = a[A_NLISTS];
+    const uint8_t *prefix = ADDRESS(const uint8_t *, A_PREFIX);
+    int plen = (int)a[A_PLEN], reduction = (int)a[A_REDUCTION], stop = (int)a[A_STOP];
+    int64_t node_cap = a[A_NODE_CAP];
+    int form = (int)a[A_FORM], keep = (int)a[A_KEEP];
+    uint8_t *least = ADDRESS(uint8_t *, A_LEAST);
+
+    a[A_NODES] = a[A_TRIPPED] = a[A_COUNT] = a[A_KEPT] = 0;
     if (n > (L + 1) / k)
         return 0; /* fewer slots than letters: no word completes them all */
 
@@ -153,7 +181,7 @@ int crucialis_walk(int n, int k, int L, const uint8_t *prefix, int plen, int red
         goto end;
     status = 0;
 
-    Leaves lv = {stop, form, word, formed, least, batch, 0, 0, batch_words, flush};
+    Leaves lv = {stop, form, keep, word, formed, least, NULL, 0, 0};
     int64_t nodes = -plen;
     int tripped = 0;
     int m = 0;
@@ -161,7 +189,7 @@ int crucialis_walk(int n, int k, int L, const uint8_t *prefix, int plen, int red
     u128 done = 0, named = 0;
 
     if (stop == 0) {
-        leaf(&lv);
+        status = leaf(&lv);
         goto walked;
     }
     for (;;) {
@@ -304,7 +332,10 @@ int crucialis_walk(int n, int k, int L, const uint8_t *prefix, int plen, int red
                 continue; /* the extension ends in an abelian k-th power */
             word[m] = (uint8_t)a;
             if (t == stop) {
-                leaf(&lv);
+                if (leaf(&lv)) {
+                    status = -1;
+                    goto walked;
+                }
                 continue;
             }
             seen = f->seen > a ? f->seen : a;
@@ -315,10 +346,13 @@ int crucialis_walk(int n, int k, int L, const uint8_t *prefix, int plen, int red
         }
     }
 walked:
-    out[0] = nodes;
-    out[1] = tripped;
-    out[2] = lv.count;
-    out[3] = lv.held;
+    a[A_NODES] = nodes;
+    a[A_TRIPPED] = tripped;
+    a[A_COUNT] = lv.count;
+    if (status == 0)
+        a[A_KEPT] = (int64_t)(uintptr_t)lv.kept;
+    else
+        free(lv.kept);
 end:
     free(P);
     free(G);

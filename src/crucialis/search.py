@@ -136,13 +136,16 @@ lock on its file while it runs, and a second search on the same file raises
 DomainError without touching it. A torn final line, left by an interrupted
 write, is cut off on load; a malformed line anywhere else raises DomainError.
 
-The compiled walker. For n <= 7, with gcc on PATH, _branches and
-_scan_branch run the walk on _walk.c, a second copy of _walk in C that
-_native.py builds on first use into a user cache (README, "Compiled
-walker"). _walk stays the definition of the walk, the fallback wherever
-the copy cannot run, and the oracle that tests/test_native_walk.py holds
-the copy to, node for node. Results, node counts, enumerated words and
-checkpoint files are the same on either walker. The header of _walk.c
+The compiled walker. For n <= 7, with gcc on PATH, _scan_branch runs the
+walk on _walk.c, a second copy of _walk in C that _native.py builds on
+first use into a user cache (README, "Compiled walker"). _walk stays the
+definition of the walk, the fallback wherever the copy cannot run, and the
+oracle that tests/test_native_walk.py holds the copy to, node for node.
+The branch split stays on _walk: a walk at most _BRANCH_DEPTH letters deep
+costs less in Python than the call into C, which takes about 10 us and
+several times that when its code has left the CPU's caches. Results, node
+counts, enumerated words and checkpoint files are the same on either
+walker. The header of _walk.c
 shows why its 128-bit arithmetic, which wraps around, gives the values of
 Python's unbounded ints for n <= 7 and L <= 65,535. A compiled branch scan
 cannot see Ctrl-C: the interrupt is raised when the scan returns.
@@ -157,6 +160,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterator, Union
 
+from . import _native
 from .constructions import bounds
 from .errors import BudgetExhaustedError, CrucialisError, DomainError
 from .powers import _require_exponent, _suffix_power_from_prefixes
@@ -470,13 +474,6 @@ class _Tally:
         self.add(1, w, (w,))
 
 
-def _fast_walk(*args) -> tuple[int, bool]:
-    """_walk, run by the compiled walker when it can run it."""
-    from . import _native  # on the first walk, so that importing crucialis reads no more
-
-    return _native.walk(*args) or _walk(*args)
-
-
 def _branches(
     n: int, k: int, depth: int, full_length: int, reduction: bool, node_cap: int | None = None
 ) -> tuple[list[tuple[int, ...]], int]:
@@ -487,7 +484,7 @@ def _branches(
     a count over node_cap means the cap tripped and the prefixes are partial.
     """
     prefixes: list[tuple[int, ...]] = []
-    nodes, _ = _fast_walk(n, k, full_length, (), reduction, depth, node_cap, None, _Tally(prefixes))
+    nodes, _ = _walk(n, k, full_length, (), reduction, depth, node_cap, None, _Tally(prefixes))
     return prefixes, nodes
 
 
@@ -501,7 +498,8 @@ def _scan_branch(task: tuple) -> tuple[int, int, tuple[int, ...] | None, list | 
     """
     n, k, L, prefix, reduction, keep, node_cap, deadline = task
     tally = _Tally([] if keep else None, _w_canonical if reduction else _reversed)
-    nodes, tripped = _fast_walk(n, k, L, prefix, reduction, L, node_cap, deadline, tally)
+    args = (n, k, L, prefix, reduction, L, node_cap, deadline, tally)
+    nodes, tripped = _native.walk(*args) or _walk(*args)
     return nodes, tally.count, tally.least, tally.words, tripped
 
 

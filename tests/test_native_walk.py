@@ -78,16 +78,24 @@ def test_source_compiles_without_warnings(tmp_path):
     )
 
 
+def split(walker, n, k, L, reduction, cap=None):
+    """The branch split of _branches on `walker`: (nodes, tripped, prefixes).
+    _branches runs it on _walk, the compiled walker must match that too."""
+    prefixes = []
+    nodes, tripped = walker(n, k, L, (), reduction, min(_BRANCH_DEPTH, L), cap, None, _Tally(prefixes))
+    return nodes, tripped, prefixes
+
+
 @pytest.mark.parametrize("n,k,lengths", CELL_LENGTHS)
 @pytest.mark.parametrize("reduction", [True, False])
 def test_walkers_agree(n, k, lengths, reduction):
     """Equal branch prefixes and nodes, and equal branch records, kept words
     and nodes, with and without keeping the words."""
     for L in lengths:
-        depth = min(_BRANCH_DEPTH, L)
-        native, python = both(lambda: _branches(n, k, depth, L, reduction))
-        assert native == python, L
-        for prefix in native[0]:
+        nodes, tripped, prefixes = split(_native.walk, n, k, L, reduction)
+        assert (nodes, tripped, prefixes) == split(_walk, n, k, L, reduction), L
+        assert (prefixes, nodes) == _branches(n, k, min(_BRANCH_DEPTH, L), L, reduction)
+        for prefix in prefixes:
             for keep in (False, True):
                 task = (n, k, L, prefix, reduction, keep, None, None)
                 native_rec, python_rec = both(lambda: _scan_branch(task))
@@ -109,11 +117,11 @@ def test_walkers_trip_at_the_same_node(n, k, lengths, reduction):
     with the words _walk finds before that node. The search below runs every
     node budget on the cells whose minimum it finds."""
     for L in lengths:
-        depth = min(_BRANCH_DEPTH, L)
-        prefixes, enum_nodes = _branches(n, k, depth, L, reduction)
+        enum_nodes, _, prefixes = split(_walk, n, k, L, reduction)
         for cap in caps(enum_nodes):
-            native, python = both(lambda: _branches(n, k, depth, L, reduction, cap))
-            assert native == python, (L, cap)
+            native = split(_native.walk, n, k, L, reduction, cap)
+            assert native == split(_walk, n, k, L, reduction, cap), (L, cap)
+            assert native[:2] == (min(cap + 1, enum_nodes), cap < enum_nodes)
         for prefix in prefixes:
             nodes = _scan_branch((n, k, L, prefix, reduction, False, None, None))[0]
             for cap in caps(nodes):
@@ -143,7 +151,8 @@ def test_a_time_budget_trips_inside_a_branch():
     assert not result.exhaustive and result.minimal_length is None
 
 
-def test_a_root_walk_hands_back_many_batches():
+def test_a_root_walk_keeps_every_word():
+    # the kept words outgrow the walker's first buffer of 64 words seven times
     kept = [_Tally([], _reversed) for _ in range(2)]
     native = _native.walk(3, 3, 14, (), False, 14, None, None, kept[0])
     assert native == _walk(3, 3, 14, (), False, 14, None, None, kept[1])
@@ -155,13 +164,9 @@ class FullList(list):
         raise MemoryError
 
 
-# (3,3) has 44 canonical crucial words at length 11, the last batch only, and
-# 6 * 1,047 words at length 14, over five full batches
-@pytest.mark.parametrize("length,reduction", [(11, True), (14, False)])
-def test_words_lost_in_a_batch_raise(length, reduction):
-    tally = _Tally(FullList(), _w_canonical if reduction else _reversed)
+def test_words_that_cannot_be_kept_raise():
     with pytest.raises(MemoryError):
-        _native.walk(3, 3, length, (), reduction, length, None, None, tally)
+        _native.walk(3, 3, 14, (), False, 14, None, None, _Tally(FullList(), _reversed))
 
 
 def run(cfg: SearchConfig):
