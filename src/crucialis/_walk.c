@@ -5,7 +5,7 @@
  * check the two node for node (tests/test_native_walk.py): the same words,
  * the same node counts, the same node at which a cap trips. Change both
  * together. The slot table (search._slot_events) and the lane constants
- * (search._lanes) are built in Python and passed in flattened (crucialis
+ * (search._lanes) are built in Python and passed in flattened (see
  * _native.py), so they are defined once.
  *
  * The packed letter counts are unsigned __int128, 7 lanes of 17 bits, where
@@ -121,7 +121,7 @@ void crucialis_free(void *kept)
 enum {
     A_N, A_K, A_L, A_TOP, A_LANES, A_EVENTS, A_LISTS, A_NLISTS, /* fixed by (n, k, L) */
     A_PREFIX, A_PLEN, A_REDUCTION, A_STOP, A_NODE_CAP, A_FORM, A_KEEP, A_LEAST,
-    A_NODES, A_TRIPPED, A_COUNT, A_KEPT, A_SLOTS
+    A_NODES, A_TRIPPED, A_COUNT, A_KEPT
 };
 
 #define ADDRESS(type, slot) ((type)(uintptr_t)a[slot])

@@ -145,10 +145,10 @@ The branch split stays on _walk: a walk at most _BRANCH_DEPTH letters deep
 costs less in Python than the call into C, which takes about 10 us and
 several times that when its code has left the CPU's caches. Results, node
 counts, enumerated words and checkpoint files are the same on either
-walker. The header of _walk.c
-shows why its 128-bit arithmetic, which wraps around, gives the values of
-Python's unbounded ints for n <= 7 and L <= 65,535. A compiled branch scan
-cannot see Ctrl-C: the interrupt is raised when the scan returns.
+walker. The header of _walk.c shows why its 128-bit arithmetic, which
+wraps around, gives the values of Python's unbounded ints for n <= 7 and
+L <= 65,535. A compiled branch scan cannot see Ctrl-C: the interrupt is
+raised when the scan returns.
 """
 
 from __future__ import annotations
