@@ -25,7 +25,6 @@ from crucialis.search import (
     _scan_branch,
     _reversed,
     _Tally,
-    _w_canonical,
     _walk,
     enumerate_crucial,
     search_minimal,
@@ -35,7 +34,6 @@ from crucialis.search import (
 from test_search_differential import ENUM_CELLS, ENUM_LENGTHS, FAR_CELLS, MINIMA_CELLS, oracle_minimal
 
 pytestmark = pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc is not on PATH")
-
 
 
 def cell_lengths() -> list[tuple[int, int, list[int]]]:
