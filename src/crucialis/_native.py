@@ -1,14 +1,16 @@
 """The compiled walker: _walk.c, built with gcc and loaded with ctypes.
 
 _walk.c is a second copy of search._walk for n <= 7 letters, checked against
-it node for node by tests/test_native_walk.py. It is built on the first walk
-that can use it, never at import, into $XDG_CACHE_HOME/crucialis (default
-~/.cache/crucialis), under a name that is the SHA-256 of the source and the
-compiler flags, so a changed source never loads a stale build. gcc writes a
-temporary file that is then renamed into place, so processes that build at
-once never load a partial file. Whatever stops the build or the load (no gcc
-on PATH, a cache that cannot be written, a failed or timed-out build) leaves
-walk() returning None, and the search runs search._walk, with equal results.
+it node for node by tests/test_native_walk.py. It runs one walk, the branch
+scan: scan_branch() takes search._scan_branch's task and returns its record.
+It is built on the first scan that can use it, never at import, into
+$XDG_CACHE_HOME/crucialis (default ~/.cache/crucialis), under a name that is
+the SHA-256 of the source and the compiler flags, so a changed source never
+loads a stale build. gcc writes a temporary file that is then renamed into
+place, so processes that build at once never load a partial file. Whatever
+stops the build or the load (no gcc on PATH, a cache that cannot be written,
+a failed or timed-out build) leaves scan_branch() returning None, and the
+search runs search._walk, with equal results.
 """
 
 from __future__ import annotations
@@ -103,14 +105,6 @@ def _library():
     return lib
 
 
-@lru_cache(maxsize=None)
-def _forms() -> dict:
-    """The code _walk.c gives each leaf form a _Tally may map its words to."""
-    from .search import _reversed, _w_canonical
-
-    return {tuple: 0, _w_canonical: 1, _reversed: 2}
-
-
 @lru_cache(maxsize=64)
 def _tables(n: int, k: int, L: int) -> tuple[tuple[int, ...], tuple]:
     """The slots A_N..A_NLISTS of _walk.c's argument, and the arrays they
@@ -147,14 +141,16 @@ def _tables(n: int, k: int, L: int) -> tuple[tuple[int, ...], tuple]:
     return fixed, (lanes, events, lists)
 
 
-def walk(n, k, L, prefix, reduction, stop, node_cap, deadline, tally):
-    """search._walk on the compiled walker: (nodes, tripped), or None when the
-    walker cannot run this walk and search._walk must.
+def scan_branch(task: tuple) -> tuple | None:
+    """search._scan_branch on the compiled walker: the same record (nodes,
+    count, least, words, tripped) for the same task (n, k, L, prefix,
+    reduction, keep, node_cap, deadline), or None when the walker cannot run
+    this scan and search._walk must.
 
     Buffers go to C as array.array addresses, alive for the call: a ctypes
     array of a new size would create a ctypes type, cyclic garbage."""
-    form = _forms().get(tally.form)
-    if form is None or n > _MAX_LETTERS:
+    n, k, L, prefix, reduction, keep, node_cap, deadline = task
+    if n > _MAX_LETTERS:
         return None
     lib = _library()
     if lib is None:
@@ -163,25 +159,23 @@ def walk(n, k, L, prefix, reduction, stop, node_cap, deadline, tally):
 
     tables = _tables(n, k, L)  # held here, so that the arrays outlive the call
     letters = array("B", prefix)
-    least = array("B", bytes(stop))
-    keep = tally.words
+    least = array("B", bytes(L))
     a = array("q", tables[0])
     a.extend((  # the slots A_PREFIX..A_KEPT
-        letters.buffer_info()[0], len(prefix), reduction, stop,
+        letters.buffer_info()[0], len(prefix), reduction,
         -1 if node_cap is None else min(node_cap, _NODES_MAX),
-        form, keep is not None, least.buffer_info()[0], 0, 0, 0, 0,
+        keep, least.buffer_info()[0], 0, 0, 0, 0,
     ))
     if lib.crucialis_walk(a.buffer_info()[0], -1.0 if deadline is None else deadline):
         raise MemoryError("the compiled walker ran out of memory")
     nodes, tripped, count, kept = a[-4:]
-    if count:
-        if keep is not None:
-            import ctypes
-            import struct
+    words = [] if keep else None
+    if keep and count:
+        import ctypes
+        import struct
 
-            try:
-                keep.extend(struct.iter_unpack(f"{stop}B", ctypes.string_at(kept, count * stop)))
-            finally:
-                lib.crucialis_free(kept)
-        tally.add(count, tuple(least))
-    return nodes, bool(tripped)
+        try:
+            words = list(struct.iter_unpack(f"{L}B", ctypes.string_at(kept, count * L)))
+        finally:
+            lib.crucialis_free(kept)
+    return nodes, count, tuple(least) if count else None, words, bool(tripped)

@@ -1,12 +1,13 @@
-/* The search walk of crucialis, compiled: a second copy of search._walk.
+/* The branch scan of crucialis, compiled: a second copy of search._walk.
  *
  * search._walk is the definition of the walk. This file transliterates its
- * body for n <= 7 letters, so that a scan runs at C speed, and the tests
- * check the two node for node (tests/test_native_walk.py): the same words,
- * the same node counts, the same node at which a cap trips. Change both
- * together. The slot table (search._slot_events) and the lane constants
- * (search._lanes) are built in Python and passed in flattened (see
- * _native.py), so they are defined once.
+ * body for n <= 7 letters, for the one walk the search runs in C: the scan
+ * below a branch prefix down to the full length L (search._scan_branch).
+ * The tests check the two node for node (tests/test_native_walk.py): the
+ * same words, the same node counts, the same node at which a cap trips.
+ * Change both together. The branch split stays in Python. The slot table
+ * (search._slot_events) and the lane constants (search._lanes) are built in
+ * Python and passed in flattened (see _native.py), so they are defined once.
  *
  * The packed letter counts are unsigned __int128, 7 lanes of 17 bits, where
  * Python's ints are unbounded. Every expression here is a sum of at most a
@@ -40,16 +41,13 @@ __extension__ typedef unsigned __int128 u128;
 /* One row of the flattened slot table per depth t = 0..L, see _native.py */
 enum { EV, NB, RB, CAP, DOUBTFUL, FREE, CHECKS, NCHECKS, HALF, NHALF, PROG, NPROG, ROW };
 
-/* Leaf forms: R itself, the W-canonical form, the plain reverse of R */
-enum { FORM_R, FORM_W_CANONICAL, FORM_REVERSED };
-
 typedef struct {
     int a, last, seen, nslot, recount;
     u128 done, named, d, c, nbase, nceil, rbit, rtarget;
 } Frame;
 
 typedef struct {
-    int stop, form, keep;
+    int L, reduction, keep;
     uint8_t *word, *formed, *least, *kept;
     int64_t count, room;
 } Leaves;
@@ -75,38 +73,37 @@ static int letter_of(u128 v, const u128 *unit, int n)
     return 0;
 }
 
-/* _Tally.leaf: map the word to its form, count it, keep the least, and
- * append it to the kept words when words are kept. 0, or -1 when the kept
- * words cannot grow */
+/* _Tally.leaf: map the word R to W, W-canonical under symmetry reduction and
+ * the plain reverse of R without it, count it, keep the least, and append it
+ * to the kept words when words are kept. 0, or -1 when the kept words cannot
+ * grow */
 static int leaf(Leaves *lv)
 {
-    int stop = lv->stop;
+    int L = lv->L;
     if (lv->keep && lv->count == lv->room) {
         int64_t room = lv->room ? 2 * lv->room : 64;
-        uint8_t *kept = realloc(lv->kept, (size_t)room * (size_t)stop);
+        uint8_t *kept = realloc(lv->kept, (size_t)room * (size_t)L);
         if (!kept)
             return -1;
         lv->kept = kept;
         lv->room = room;
     }
-    uint8_t *out = lv->keep ? lv->kept + lv->count * stop : lv->formed;
-    if (lv->form == FORM_R) {
-        memcpy(out, lv->word, (size_t)stop);
-    } else if (lv->form == FORM_REVERSED) {
-        for (int i = 0; i < stop; i++)
-            out[i] = lv->word[stop - 1 - i];
-    } else {
+    uint8_t *out = lv->keep ? lv->kept + lv->count * L : lv->formed;
+    if (lv->reduction) {
         uint8_t names[MAX_LETTERS + 1] = {0};
         int named = 0;
-        for (int i = 0; i < stop; i++) {
-            uint8_t a = lv->word[stop - 1 - i];
+        for (int i = 0; i < L; i++) {
+            uint8_t a = lv->word[L - 1 - i];
             if (!names[a])
                 names[a] = (uint8_t)++named;
             out[i] = names[a];
         }
+    } else {
+        for (int i = 0; i < L; i++)
+            out[i] = lv->word[L - 1 - i];
     }
-    if (lv->count++ == 0 || memcmp(out, lv->least, (size_t)stop) < 0)
-        memcpy(lv->least, out, (size_t)stop);
+    if (lv->count++ == 0 || memcmp(out, lv->least, (size_t)L) < 0)
+        memcpy(lv->least, out, (size_t)L);
     return 0;
 }
 
@@ -120,24 +117,25 @@ void crucialis_free(void *kept)
  * caller fills those before A_NODES; the walk writes the rest. */
 enum {
     A_N, A_K, A_L, A_TOP, A_LANES, A_EVENTS, A_LISTS, A_NLISTS, /* fixed by (n, k, L) */
-    A_PREFIX, A_PLEN, A_REDUCTION, A_STOP, A_NODE_CAP, A_FORM, A_KEEP, A_LEAST,
+    A_PREFIX, A_PLEN, A_REDUCTION, A_NODE_CAP, A_KEEP, A_LEAST,
     A_NODES, A_TRIPPED, A_COUNT, A_KEPT
 };
 
 #define ADDRESS(type, slot) ((type)(uintptr_t)a[slot])
 
-/* The walk of search._walk from a prefix of A_PLEN letters at A_PREFIX down
- * to A_STOP letters.
+/* The scan of search._scan_branch: the walk of search._walk from a prefix
+ * of A_PLEN <= L letters at A_PREFIX down to the full length L >= 1.
  *
  * A_LANES holds unit[0..n], bit[0..n], full and fill as (low, high) 64-bit
  * pairs, and A_TOP is the lane's top bit. A_EVENTS holds ROW ints per depth
  * t = 0..L, and A_LISTS the A_NLISTS (b, j) pairs, half and prog entries
  * they point at. A_NODE_CAP < 0 means no cap, deadline < 0 no deadline.
- * Leaves are mapped to A_FORM; each one is counted and the least is kept at
- * A_LEAST. With A_KEEP, every word is also kept, in order, in a buffer whose
- * address goes to A_KEPT, which the caller frees with crucialis_free.
- * A_NODES, A_TRIPPED and A_COUNT receive the nodes, whether a budget tripped
- * and the words found.
+ * Each leaf is mapped to W, W-canonical with A_REDUCTION and reversed
+ * without; each one is counted and the least is kept at A_LEAST. With
+ * A_KEEP, every word is also kept, in order, in a buffer whose address goes
+ * to A_KEPT, which the caller frees with crucialis_free. A_NODES, A_TRIPPED
+ * and A_COUNT receive the nodes, whether a budget tripped and the words
+ * found.
  *
  * Returns 0, or -1 if memory ran out; then nothing is kept. */
 int crucialis_walk(int64_t *a, double deadline)
@@ -148,9 +146,8 @@ int crucialis_walk(int64_t *a, double deadline)
     const int32_t *lists = ADDRESS(const int32_t *, A_LISTS);
     int64_t nlists = a[A_NLISTS];
     const uint8_t *prefix = ADDRESS(const uint8_t *, A_PREFIX);
-    int plen = (int)a[A_PLEN], reduction = (int)a[A_REDUCTION], stop = (int)a[A_STOP];
+    int plen = (int)a[A_PLEN], reduction = (int)a[A_REDUCTION], keep = (int)a[A_KEEP];
     int64_t node_cap = a[A_NODE_CAP];
-    int form = (int)a[A_FORM], keep = (int)a[A_KEEP];
     uint8_t *least = ADDRESS(uint8_t *, A_LEAST);
 
     a[A_NODES] = a[A_TRIPPED] = a[A_COUNT] = a[A_KEPT] = 0;
@@ -173,25 +170,21 @@ int crucialis_walk(int64_t *a, double deadline)
     /* live[i]: the (target, x) of check i of the lists, as set at its depth */
     u128 *live_target = calloc((size_t)nlists / 2 + 1, sizeof *live_target);
     int *live_x = calloc((size_t)nlists / 2 + 1, sizeof *live_x);
-    Frame *F = calloc((size_t)stop + 1, sizeof *F);
-    uint8_t *word = calloc((size_t)stop + 1, 1);
-    uint8_t *formed = calloc((size_t)stop + 1, 1);
+    Frame *F = calloc((size_t)L + 1, sizeof *F);
+    uint8_t *word = calloc((size_t)L + 1, 1);
+    uint8_t *formed = calloc((size_t)L + 1, 1);
     int status = -1;
     if (!P || !G || !S || !live_target || !live_x || !F || !word || !formed)
         goto end;
     status = 0;
 
-    Leaves lv = {stop, form, keep, word, formed, least, NULL, 0, 0};
+    Leaves lv = {L, reduction, keep, word, formed, least, NULL, 0, 0};
     int64_t nodes = -plen;
     int tripped = 0;
     int m = 0;
     int seen = 0;
     u128 done = 0, named = 0;
 
-    if (stop == 0) {
-        status = leaf(&lv);
-        goto walked;
-    }
     for (;;) {
         /* enter depth m: the dfs(m, seen, done, named) call of _walk */
         Frame *f = &F[m];
@@ -331,7 +324,7 @@ int crucialis_walk(int64_t *a, double deadline)
             if (power)
                 continue; /* the extension ends in an abelian k-th power */
             word[m] = (uint8_t)a;
-            if (t == stop) {
+            if (t == L) {
                 if (leaf(&lv)) {
                     status = -1;
                     goto walked;

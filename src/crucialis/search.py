@@ -136,18 +136,20 @@ lock on its file while it runs, and a second search on the same file raises
 DomainError without touching it. A torn final line, left by an interrupted
 write, is cut off on load; a malformed line anywhere else raises DomainError.
 
-The compiled walker. For n <= 7, with gcc on PATH, _scan_branch runs the
-walk on _walk.c, a second copy of _walk in C that _native.py builds on
-first use into a user cache (README, "Compiled walker"). _walk stays the
-definition of the walk, the fallback wherever the copy cannot run, and the
-oracle that tests/test_native_walk.py holds the copy to, node for node.
-The branch split stays on _walk: a walk at most _BRANCH_DEPTH letters deep
-costs less in Python than the call into C, which takes about 10 us and
-several times that when its code has left the CPU's caches. Results, node
-counts, enumerated words and checkpoint files are the same on either
-walker. The header of _walk.c shows why its 128-bit arithmetic, which
-wraps around, gives the values of Python's unbounded ints for n <= 7 and
-L <= 65,535. A compiled branch scan cannot see Ctrl-C: the interrupt is
+The compiled walker. For n <= 7, with gcc on PATH, _scan_branch runs on
+_walk.c, a second copy of _walk in C that _native.py builds on first use
+into a user cache (README, "Compiled walker"). It runs one walk, the branch
+scan: _native.scan_branch takes _scan_branch's task and returns its record,
+or None, and then _walk scans the branch. _walk stays the definition of the
+walk, the fallback wherever the copy cannot run, and the oracle that
+tests/test_native_walk.py holds the copy to, node for node. _branches holds
+the split rule, and runs the split on _walk: a walk at most _BRANCH_DEPTH
+letters deep costs less in Python than the call into C, which takes about
+10 us and several times that when its code has left the CPU's caches.
+Results, node counts, enumerated words and checkpoint files are the same on
+either walker. The header of _walk.c shows why its 128-bit arithmetic,
+which wraps around, gives the values of Python's unbounded ints for n <= 7
+and L <= 65,535. A compiled branch scan cannot see Ctrl-C: the interrupt is
 raised when the scan returns.
 """
 
@@ -475,16 +477,19 @@ class _Tally:
 
 
 def _branches(
-    n: int, k: int, depth: int, full_length: int, reduction: bool, node_cap: int | None = None
+    n: int, k: int, L: int, reduction: bool, node_cap: int | None = None
 ) -> tuple[list[tuple[int, ...]], int]:
-    """All R-prefixes of exactly `depth` letters that the deep scan would reach.
+    """The branches of a scan to length L: all R-prefixes of min(_BRANCH_DEPTH,
+    L) letters that the scan reaches. This is the split rule, the one place
+    that reads _BRANCH_DEPTH apart from the checkpoint header.
 
     Returns them in lexicographic order along with the node count spent, one
-    per attempted letter append. The walk is the deep scan's, stopped early;
-    a count over node_cap means the cap tripped and the prefixes are partial.
+    per attempted letter append. The walk is the scan's, stopped early; a
+    count over node_cap means the cap tripped and the prefixes are partial.
     """
     prefixes: list[tuple[int, ...]] = []
-    nodes, _ = _walk(n, k, full_length, (), reduction, depth, node_cap, None, _Tally(prefixes))
+    depth = min(_BRANCH_DEPTH, L)
+    nodes, _ = _walk(n, k, L, (), reduction, depth, node_cap, None, _Tally(prefixes))
     return prefixes, nodes
 
 
@@ -494,13 +499,16 @@ def _scan_branch(task: tuple) -> tuple[int, int, tuple[int, ...] | None, list | 
     task = (n, k, L, prefix, reduction, keep, node_cap, deadline). Returns the
     branch's checkpoint record (nodes expanded below the prefix, crucial
     words found, the least of them in W form), the words in W form if keep
-    else None, and whether a budget tripped mid-branch.
+    else None, and whether a budget tripped mid-branch. The compiled walker
+    scans it when it can, else _walk.
     """
-    n, k, L, prefix, reduction, keep, node_cap, deadline = task
-    tally = _Tally([] if keep else None, _w_canonical if reduction else _reversed)
-    args = (n, k, L, prefix, reduction, L, node_cap, deadline, tally)
-    nodes, tripped = _native.walk(*args) or _walk(*args)
-    return nodes, tally.count, tally.least, tally.words, tripped
+    record = _native.scan_branch(task)
+    if record is None:
+        n, k, L, prefix, reduction, keep, node_cap, deadline = task
+        tally = _Tally([] if keep else None, _w_canonical if reduction else _reversed)
+        nodes, tripped = _walk(n, k, L, prefix, reduction, L, node_cap, deadline, tally)
+        record = nodes, tally.count, tally.least, tally.words, tripped
+    return record
 
 
 class _Checkpoint:
@@ -672,10 +680,7 @@ def _scan_length(
     Stops early only when a budget trips. Branches already in the checkpoint
     are reused, not re-run; fresh branches within the budget are recorded.
     """
-    depth = min(_BRANCH_DEPTH, L)
-    prefixes, enum_nodes = _branches(
-        cfg.n, cfg.k, depth, L, cfg.symmetry_reduction, _left(cfg, state)
-    )
+    prefixes, enum_nodes = _branches(cfg.n, cfg.k, L, cfg.symmetry_reduction, _left(cfg, state))
     if _spend(cfg, state, enum_nodes):
         return
 

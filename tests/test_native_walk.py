@@ -1,14 +1,15 @@
 """The compiled walker (_walk.c) against search._walk, node for node.
 
-_walk.c is a second copy of the walk. search._walk is its definition, and
-these tests hold the copy to it on every cell of test_search_differential:
-equal branch prefixes, records, kept words and node counts, equal trip nodes
-under node caps, byte-identical checkpoints and the same SearchResult from
-the Python path when the build fails.
+_walk.c is a second copy of the walk that runs the branch scan. search._walk
+is its definition, and these tests hold the copy to it on every cell of
+test_search_differential: equal branch records, kept words and node counts,
+equal trip nodes under node caps, byte-identical checkpoints and the same
+SearchResult from the Python path when the build fails.
 """
 
 import os
 import shutil
+import struct
 import subprocess
 import time
 from dataclasses import replace
@@ -17,15 +18,11 @@ import pytest
 
 from crucialis import _native
 from crucialis.search import (
-    _BRANCH_DEPTH,
     EnumerateAllCrucialAtLength,
     SearchConfig,
     VerifyNoneBelow,
     _branches,
     _scan_branch,
-    _reversed,
-    _Tally,
-    _walk,
     enumerate_crucial,
     search_minimal,
     verify_none_below,
@@ -55,12 +52,12 @@ CAPS_PER_WALK = 8  # a walk of more nodes is capped at this many spread caps
 def both(call):
     """call() on the compiled walker, then on search._walk."""
     native = call()
-    real = _native.walk
-    _native.walk = lambda *args: None
+    real = _native.scan_branch
+    _native.scan_branch = lambda task: None
     try:
         return native, call()
     finally:
-        _native.walk = real
+        _native.scan_branch = real
 
 
 def test_the_walker_builds():
@@ -76,24 +73,13 @@ def test_source_compiles_without_warnings(tmp_path):
     )
 
 
-def split(walker, n, k, L, reduction, cap=None):
-    """The branch split of _branches on `walker`: (nodes, tripped, prefixes).
-    _branches runs it on _walk, the compiled walker must match that too."""
-    prefixes = []
-    nodes, tripped = walker(n, k, L, (), reduction, min(_BRANCH_DEPTH, L), cap, None, _Tally(prefixes))
-    return nodes, tripped, prefixes
-
-
 @pytest.mark.parametrize("n,k,lengths", CELL_LENGTHS)
 @pytest.mark.parametrize("reduction", [True, False])
 def test_walkers_agree(n, k, lengths, reduction):
-    """Equal branch prefixes and nodes, and equal branch records, kept words
-    and nodes, with and without keeping the words."""
+    """Equal branch records, kept words and nodes, with and without keeping
+    the words."""
     for L in lengths:
-        nodes, tripped, prefixes = split(_native.walk, n, k, L, reduction)
-        assert (nodes, tripped, prefixes) == split(_walk, n, k, L, reduction), L
-        assert (prefixes, nodes) == _branches(n, k, min(_BRANCH_DEPTH, L), L, reduction)
-        for prefix in prefixes:
+        for prefix in _branches(n, k, L, reduction)[0]:
             for keep in (False, True):
                 task = (n, k, L, prefix, reduction, keep, None, None)
                 native_rec, python_rec = both(lambda: _scan_branch(task))
@@ -111,16 +97,11 @@ def caps(nodes: int) -> list[int]:
 @pytest.mark.parametrize("n,k,lengths", CELL_LENGTHS)
 @pytest.mark.parametrize("reduction", [True, False])
 def test_walkers_trip_at_the_same_node(n, k, lengths, reduction):
-    """A capped walk trips at cap + 1 exactly when the walk has more nodes,
+    """A capped scan trips at cap + 1 exactly when the scan has more nodes,
     with the words _walk finds before that node. The search below runs every
     node budget on the cells whose minimum it finds."""
     for L in lengths:
-        enum_nodes, _, prefixes = split(_walk, n, k, L, reduction)
-        for cap in caps(enum_nodes):
-            native = split(_native.walk, n, k, L, reduction, cap)
-            assert native == split(_walk, n, k, L, reduction, cap), (L, cap)
-            assert native[:2] == (min(cap + 1, enum_nodes), cap < enum_nodes)
-        for prefix in prefixes:
+        for prefix in _branches(n, k, L, reduction)[0]:
             nodes = _scan_branch((n, k, L, prefix, reduction, False, None, None))[0]
             for cap in caps(nodes):
                 task = (n, k, L, prefix, reduction, True, cap, None)
@@ -149,22 +130,32 @@ def test_a_time_budget_trips_inside_a_branch():
     assert not result.exhaustive and result.minimal_length is None
 
 
+ROOT_SCAN = (3, 3, 14, (), False, True, None, None)  # the whole length, every word kept
+
+
 def test_a_root_walk_keeps_every_word():
     # the kept words outgrow the walker's first buffer of 64 words seven times
-    kept = [_Tally([], _reversed) for _ in range(2)]
-    native = _native.walk(3, 3, 14, (), False, 14, None, None, kept[0])
-    assert native == _walk(3, 3, 14, (), False, 14, None, None, kept[1])
-    assert kept[0] == kept[1] and len(kept[0].words) == 6 * 1047
+    native = _native.scan_branch(ROOT_SCAN)
+    assert native == both(lambda: _scan_branch(ROOT_SCAN))[1]
+    assert len(native[3]) == native[1] == 6 * 1047
 
 
-class FullList(list):
-    def extend(self, words):
+def test_words_that_cannot_be_kept_raise(monkeypatch):
+    lib = _native._library()
+    free, freed = lib.crucialis_free, []
+
+    def recording_free(kept):
+        freed.append(kept)
+        free(kept)
+
+    def full(*args):
         raise MemoryError
 
-
-def test_words_that_cannot_be_kept_raise():
+    monkeypatch.setattr(lib, "crucialis_free", recording_free)
+    monkeypatch.setattr(struct, "iter_unpack", full)
     with pytest.raises(MemoryError):
-        _native.walk(3, 3, 14, (), False, 14, None, None, _Tally(FullList(), _reversed))
+        _native.scan_branch(ROOT_SCAN)
+    assert len(freed) == 1 and freed[0]  # the C buffer is freed all the same
 
 
 def run(cfg: SearchConfig):

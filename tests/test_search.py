@@ -143,7 +143,7 @@ class TestDeterminism:
         path = tmp_path / "scan.ckpt"
         ckpt = _Checkpoint(path, SearchConfig(n=3, k=5, symmetry_reduction=False))
         for L in range(4, 40, 5):
-            for prefix in _branches(3, 5, min(4, L), L, False)[0]:
+            for prefix in _branches(3, 5, L, False)[0]:
                 if prefix not in ((2, 2, 2, 2), (3, 3, 3, 3)):
                     over = L == 39 and prefix == (1, 1, 1, 1)
                     ckpt.record(L, prefix, 10**9 + 1 if over else 1, 0, None)
@@ -231,7 +231,7 @@ class TestDeterminism:
         path = tmp_path / "scan.ckpt"
         ckpt = _Checkpoint(path, SearchConfig(n=3, k=5))
         for L in range(4, 40, 5):
-            for prefix in _branches(3, 5, min(4, L), L, True)[0]:
+            for prefix in _branches(3, 5, L, True)[0]:
                 if L < 39 or prefix not in ((1, 1, 1, 1), (1, 2, 3, 3)):
                     ckpt.record(L, prefix, 1, 0, None)
         ckpt.close()  # releases the lock for the search below

@@ -8,7 +8,6 @@ import pytest
 from crucialis.cruciality import is_crucial
 from crucialis.powers import suffix_abelian_power
 from crucialis.search import (
-    _BRANCH_DEPTH,
     EnumerateAllCrucialAtLength,
     SearchConfig,
     VerifyNoneBelow,
@@ -171,7 +170,7 @@ def test_branch_walks_partition_the_root_walk(n, k, reduction):
         hits = []
         nodes, tripped = _walk(n, k, L, (), reduction, L, None, None, _Tally(hits))
         assert not tripped
-        prefixes, enum_nodes = _branches(n, k, min(_BRANCH_DEPTH, L), L, reduction)
+        prefixes, enum_nodes = _branches(n, k, L, reduction)
         total, joined = enum_nodes, []
         for prefix in prefixes:
             found = []
@@ -195,7 +194,7 @@ def test_count_only_scan_matches_the_kept_hits(n, k, reduction):
     """Find and verify keep no word of a branch, only its count and least hit:
     those equal the count and least of the words an enumerating scan keeps."""
     for L in range(k - 1, 16, k):
-        for prefix in _branches(n, k, min(_BRANCH_DEPTH, L), L, reduction)[0]:
+        for prefix in _branches(n, k, L, reduction)[0]:
             nodes, count, least, words, tripped = _scan_branch(
                 (n, k, L, prefix, reduction, False, None, None)
             )
