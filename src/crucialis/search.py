@@ -318,13 +318,19 @@ def _walk(
 ) -> tuple[int, bool]:
     """Depth-first scan of free R-words of length L that extend `prefix`.
 
-    Walks down to `stop` letters, adds the surviving words of `stop` letters
-    to the tally in lex order, and returns the nodes expanded (one per
-    attempted letter append below the prefix) and whether a budget tripped.
-    With stop == L every word added is crucial once reversed. The prefix must
-    be one the same scan reaches, as _branches returns them: the walk descends
-    through it one forced letter per depth, and nodes starts at -len(prefix),
-    so only the appends below the prefix count.
+    Walks down to `stop` letters, 1 <= stop <= L, adds the surviving words of
+    `stop` letters to the tally in lex order, and returns the nodes expanded
+    (one per attempted letter append below the prefix) and whether a budget
+    tripped. With stop == L every word added is crucial once reversed. The
+    prefix must be one the same scan reaches, as _branches returns them: the
+    walk descends through it one forced letter per depth, and nodes starts at
+    -len(prefix), so only the appends below the prefix count.
+
+    The walk is one loop that keeps one frame per depth of its path, as
+    _walk.c does, and no Python call per depth, so a scan thousands of
+    letters deep stays within the interpreter's recursion limit. Entering
+    depth m sets up the state its letters share; descending saves that state
+    with the letters left to try in frames[m], and returning restores it.
 
     Along the path, done marks the completed letters and named counts, lane
     by lane, the determined future slots that name each letter and whose
@@ -344,49 +350,51 @@ def _walk(
     S = [0] * (((L + 1) // k + 1) * k)
     G = [0] * len(S)
     word = [0] * stop
+    frames: list[tuple] = [()] * stop
     leaf = tally.leaf
     nodes = -len(prefix)
-    tripped = False
+    m = seen = done = named = 0
+    # every frame saves these; only the depths that set them read them
+    nbase = nceil = nslot = rbit = rtarget = 0
+    live: list[tuple[int, int, int]] = []
+    letters = None  # the letters depth m has left to try; None as the walk enters it
 
-    def dfs(m: int, seen: int, done: int, named: int) -> None:
-        nonlocal nodes, tripped
-        if m == stop:
-            leaf(word)
-            return
+    while True:
         t = m + 1
+        ev, cap, doubtful, free, half, prog = events[t]
+        if ev is not None:
+            nb, rb, checks = ev
+        if letters is None:
+            if ev is None:  # the counts stand as the parent left them
+                d, c = done, named
+                recount = d != full and (full ^ (d | (c + fill) & full)).bit_count() > doubtful
+            else:
+                if nb:
+                    nbase = 2 * P[nb - 1]
+                    nceil = full - P[nb - 1]
+                    nslot = nb * k + 2
+                if rb:  # the slot leaves the future; it completes its letter if block k matches
+                    rx = S[rb * k + k - 1]
+                    named -= unit[rx]
+                    rbit = bit[rx]
+                    rtarget = P[t - rb] + P[2 * rb - 1] - P[rb - 1]
+                live = []
+                for b, j in checks:  # assume the slot dies; a match revives it
+                    x = S[b * k + j - 1]
+                    named -= unit[x]
+                    block = P[2 * b - 1] - P[b - 1]
+                    live.append((P[t - b] + block, x, b * k + j))
+                    G[b * k + j] = P[t - b] + 2 * block + full
+            letters = iter(forced[m] or choices[seen])
         pm = P[m]
         blocks = range(1, t // k + 1)
-        ev, cap, doubtful, free, half, prog = events[t]
-        if ev is None:  # the counts stand as the parent left them
-            d, c = done, named
-            recount = d != full and (full ^ (d | (c + fill) & full)).bit_count() > doubtful
-        else:
-            nb, rb, checks = ev
-            if nb:
-                nbase = 2 * P[nb - 1]
-                nceil = full - P[nb - 1]
-                nslot = nb * k + 2
-            if rb:  # the slot leaves the future; it completes its letter if block k matches
-                rx = S[rb * k + k - 1]
-                named -= unit[rx]
-                rbit = bit[rx]
-                rtarget = P[t - rb] + P[2 * rb - 1] - P[rb - 1]
-            live = []
-            for b, j in checks:  # assume the slot dies; a match revives it
-                x = S[b * k + j - 1]
-                named -= unit[x]
-                block = P[2 * b - 1] - P[b - 1]
-                live.append((P[t - b] + block, x, b * k + j))
-                G[b * k + j] = P[t - b] + 2 * block + full
-        for a in forced[m] or choices[seen]:
+        for a in letters:
             nodes += 1
             if node_cap is not None and nodes > node_cap:
-                tripped = True
-                return
+                return nodes, True
             if deadline is not None and nodes & _TIME_CHECK_MASK == 0:
                 if time.monotonic() > deadline:
-                    tripped = True
-                    return
+                    return nodes, True
             P[t] = pa = pm + unit[a]
             if ev is not None:
                 d, c = done, named
@@ -431,15 +439,17 @@ def _walk(
             if _suffix_power_from_prefixes(P, t, k, blocks) is not None:
                 continue  # the extension ends in an abelian k-th power
             word[m] = a
-            dfs(t, max(seen, a), d, c)
-            if tripped:
-                return
-
-    dfs(0, 0, 0, 0)
-    # dfs reaches itself through its closure; cutting that cycle lets reference
-    # counting free the walk's state, instead of leaving it to the cyclic GC
-    dfs = None
-    return nodes, tripped
+            if t == stop:
+                leaf(word)
+                continue
+            frames[m] = (letters, seen, done, named, d, c, recount, nbase, nceil, nslot, rbit, rtarget, live)
+            m, seen, done, named, letters = t, max(seen, a), d, c, None
+            break
+        else:
+            if m == 0:
+                return nodes, False
+            m -= 1
+            letters, seen, done, named, d, c, recount, nbase, nceil, nslot, rbit, rtarget, live = frames[m]
 
 
 def _w_canonical(r: list[int]) -> tuple[int, ...]:

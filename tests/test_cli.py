@@ -313,6 +313,17 @@ class TestSearch:
         assert code == 3
         assert out == "RESULT: crucial_words_found=0 exhaustive=false\n"
 
+    def test_enumerate_thousands_of_letters_deep(self):
+        # n = 8 runs the Python walk, which once overran the recursion limit here
+        code, out, _ = invoke(
+            [
+                "search", "--n", "8", "--k", "2", "--mode", "enumerate",
+                "--length", "2001", "--node-budget", "20000",
+            ]
+        )
+        assert code == 3
+        assert out == "RESULT: crucial_words_found=0 exhaustive=false\n"
+
     def test_enumerate_requires_length(self):
         code, _, err = invoke(["search", "--n", "2", "--k", "3", "--mode", "enumerate"])
         assert code == 2

@@ -158,6 +158,13 @@ def test_words_that_cannot_be_kept_raise(monkeypatch):
     assert len(freed) == 1 and freed[0]  # the C buffer is freed all the same
 
 
+def test_walkers_agree_thousands_of_letters_deep():
+    # a scan that deep once overran the Python walk's recursion limit
+    task = (4, 2, 2001, (), True, True, 20_000, None)
+    native, python = both(lambda: _scan_branch(task))
+    assert native == python and native[0] == 20_001 and native[4]
+
+
 def run(cfg: SearchConfig):
     """The search cfg's target mode asks for, its words listed if it enumerates."""
     if isinstance(cfg.target_mode, EnumerateAllCrucialAtLength):
