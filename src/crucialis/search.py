@@ -218,7 +218,9 @@ class SearchConfig:
             _require_length(self.target_mode.length)
         if self.node_budget is not None and (type(self.node_budget) is not int or self.node_budget < 1):
             raise DomainError("node_budget must be positive")
-        if self.time_budget is not None and not self.time_budget > 0:  # NaN too
+        if self.time_budget is not None and (
+            type(self.time_budget) not in (int, float) or not self.time_budget > 0  # NaN too
+        ):
             raise DomainError("time_budget must be positive")
         if type(self.workers) is not int or self.workers < 1:
             raise DomainError("workers must be at least 1")

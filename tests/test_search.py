@@ -651,6 +651,8 @@ class TestConfigValidation:
             dict(n=2, k=3, node_budget=0),
             dict(n=2, k=3, time_budget=0.0),
             dict(n=2, k=3, time_budget=float("nan")),
+            dict(n=2, k=3, time_budget="1"),
+            dict(n=2, k=3, time_budget=True),
             dict(n=2, k=3, workers=0),
             dict(n=2, k=3, target_mode=EnumerateAllCrucialAtLength(0)),
             dict(n=2, k=3, target_mode=VerifyNoneBelow(-1)),
