@@ -2,15 +2,18 @@
 
 _walk.c is a second copy of search._walk for n <= 7 letters, checked against
 it node for node by tests/test_native_walk.py. It runs one walk, the branch
-scan: scan_branch() takes search._scan_branch's task and returns its record.
-It is built on the first scan that can use it, never at import, into
-$XDG_CACHE_HOME/crucialis (default ~/.cache/crucialis), under a name that is
-the SHA-256 of the source and the compiler flags, so a changed source never
-loads a stale build. gcc writes a temporary file that is then renamed into
-place, so processes that build at once never load a partial file. Whatever
-stops the build or the load (no gcc on PATH, a cache that cannot be written,
-a failed or timed-out build) leaves scan_branch() returning None, and the
-search runs search._walk, with equal results.
+scan: scan_branch(task) returns the record that search._walk(*task) does.
+The source is read as this module is imported, so the code built is the
+code this module's argument layout was written for, even if _walk.c changes
+on disk later. It is built on the first scan that can use it, never at
+import, into $XDG_CACHE_HOME/crucialis (default ~/.cache/crucialis), under a
+name that is the SHA-256 of the source and the compiler flags, so a changed
+source never loads a stale build. gcc writes a temporary file that is then
+renamed into place, so processes that build at once never load a partial
+file. Whatever stops the build or the load (a source that could not be read,
+no gcc on PATH, a cache that cannot be written, a failed or timed-out build)
+leaves scan_branch() returning None, and the search runs search._walk, with
+equal results.
 """
 
 from __future__ import annotations
@@ -20,6 +23,10 @@ from functools import lru_cache
 from pathlib import Path
 
 _SOURCE = Path(__file__).with_name("_walk.c")
+try:
+    _CODE: bytes | None = _SOURCE.read_bytes()  # read now, so the build matches this glue
+except OSError:
+    _CODE = None
 _FLAGS = ("-std=c11", "-O3", "-fPIC", "-shared")
 _BUILD_TIMEOUT_S = 120.0
 _MAX_LETTERS = 7  # the lanes of 7 letters fill 119 of the 128 bits
@@ -31,10 +38,11 @@ def _cache_dir() -> Path:
 
 
 def _build(out: Path) -> bool:
-    """Compile _walk.c into `out`; False if gcc is missing, fails or times out.
+    """Compile _CODE into `out`; False if gcc is missing, fails or times out.
 
-    gcc runs in a session of its own, so a build that is stopped, by the
-    timeout or by an interrupt, kills the compiler processes gcc started too.
+    gcc reads the code on its stdin, and runs in a session of its own, so a
+    build that is stopped, by the timeout or by an interrupt, kills the
+    compiler processes gcc started too.
     """
     import shutil
     import signal
@@ -49,20 +57,21 @@ def _build(out: Path) -> bool:
     os.close(fd)
     try:
         proc = subprocess.Popen(
-            [gcc, *_FLAGS, "-o", tmp, str(_SOURCE)],
-            stdin=subprocess.DEVNULL,
+            [gcc, *_FLAGS, "-o", tmp, "-x", "c", "-"],
+            stdin=subprocess.PIPE,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
             start_new_session=True,
         )
         try:
-            built = proc.wait(timeout=_BUILD_TIMEOUT_S) == 0
+            proc.communicate(_CODE, timeout=_BUILD_TIMEOUT_S)
+            built = proc.returncode == 0
         except subprocess.TimeoutExpired:
             built = False
         finally:
             if proc.returncode is None:  # not reaped, so the group id is still gcc's own
                 os.killpg(proc.pid, signal.SIGKILL)
-                proc.wait()
+                proc.communicate()  # reaps gcc and closes its stdin
         if built:
             os.replace(tmp, out)
         return built
@@ -89,9 +98,10 @@ def _library():
         except ImportError:
             from hashlib import sha256
 
+    if _CODE is None:
+        return None
     try:
-        source = _SOURCE.read_bytes()
-        digest = sha256(source + "\0".join(_FLAGS).encode()).hexdigest()
+        digest = sha256(_CODE + "\0".join(_FLAGS).encode()).hexdigest()
         path = _cache_dir() / f"walk-{digest[:32]}.so"
         if not path.exists() and not _build(path):
             return None
@@ -142,7 +152,7 @@ def _tables(n: int, k: int, L: int) -> tuple[tuple[int, ...], tuple]:
 
 
 def scan_branch(task: tuple) -> tuple | None:
-    """search._scan_branch on the compiled walker: the same record (nodes,
+    """search._walk(*task) on the compiled walker: the same record (nodes,
     count, least, words, tripped) for the same task (n, k, L, prefix,
     reduction, keep, node_cap, deadline), or None when the walker cannot run
     this scan and search._walk must.

@@ -2,8 +2,9 @@
  *
  * search._walk is the definition of the walk. This file transliterates its
  * body for n <= 7 letters, for the one walk the search runs in C: the scan
- * below a branch prefix down to the full length L (search._scan_branch).
- * The tests check the two node for node (tests/test_native_walk.py): the
+ * below a branch prefix down to the full length L, search._walk without a
+ * stop. Both return search._scan_branch's record for its task, and the
+ * tests check the two record for record (tests/test_native_walk.py): the
  * same words, the same node counts, the same node at which a cap trips.
  * Change both together. The branch split stays in Python. The slot table
  * (search._slot_events) and the lane constants (search._lanes) are built in
@@ -73,10 +74,10 @@ static int letter_of(u128 v, const u128 *unit, int n)
     return 0;
 }
 
-/* _Tally.leaf: map the word R to W, W-canonical under symmetry reduction and
- * the plain reverse of R without it, count it, keep the least, and append it
- * to the kept words when words are kept. 0, or -1 when the kept words cannot
- * grow */
+/* A leaf of search._walk: map the word R to W, W-canonical under symmetry
+ * reduction and the plain reverse of R without it, count it, keep the least,
+ * and append it to the kept words when words are kept. 0, or -1 when the
+ * kept words cannot grow */
 static int leaf(Leaves *lv)
 {
     int L = lv->L;

@@ -96,11 +96,7 @@ def _read_word(args) -> Word:
 
 
 def _show_word(w: Word, fmt: str | None = None) -> str:
-    if fmt == "spaced":
-        return render_word(w, WordFormat.SPACED)
-    if fmt == "compact":
-        return render_word(w, WordFormat.COMPACT)
-    return str(w)
+    return render_word(w, WordFormat(fmt)) if fmt else str(w)
 
 
 def _result_word(w: Word) -> str:

@@ -139,13 +139,15 @@ write, is cut off on load; a malformed line anywhere else raises DomainError.
 The compiled walker. For n <= 7, with gcc on PATH, _scan_branch runs on
 _walk.c, a second copy of _walk in C that _native.py builds on first use
 into a user cache (README, "Compiled walker"). It runs one walk, the branch
-scan: _native.scan_branch takes _scan_branch's task and returns its record,
-or None, and then _walk scans the branch. _walk stays the definition of the
-walk, the fallback wherever the copy cannot run, and the oracle that
-tests/test_native_walk.py holds the copy to, node for node. _branches holds
-the split rule, and runs the split on _walk: a walk at most _BRANCH_DEPTH
-letters deep costs less in Python than the call into C, which takes about
-10 us and several times that when its code has left the CPU's caches.
+scan. _native.scan_branch and _walk both take _scan_branch's task and
+return its record; the compiled walker returns None where it cannot run,
+and then _walk scans the branch. _walk stays the definition of the walk,
+the fallback wherever the copy cannot run, and the oracle that
+tests/test_native_walk.py holds the copy to, record for record and node for
+node. _branches holds the split rule, and runs the split on _walk, stopped
+early: a walk at most _BRANCH_DEPTH letters deep costs less in Python than
+the call into C, which takes about 10 us and several times that when its
+code has left the CPU's caches.
 Results, node counts, enumerated words and checkpoint files are the same on
 either walker. The header of _walk.c shows why its 128-bit arithmetic,
 which wraps around, gives the values of Python's unbounded ints for n <= 7
@@ -156,11 +158,12 @@ raised when the scan returns.
 from __future__ import annotations
 
 import fcntl
+import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterator, Union
+from typing import Iterator, Union
 
 from . import _native
 from .constructions import bounds
@@ -224,6 +227,10 @@ class SearchConfig:
             raise DomainError("time_budget must be positive")
         if type(self.workers) is not int or self.workers < 1:
             raise DomainError("workers must be at least 1")
+        if type(self.symmetry_reduction) is not bool:
+            raise DomainError("symmetry_reduction must be a bool")
+        if self.checkpoint_path is not None and not isinstance(self.checkpoint_path, (str, os.PathLike)):
+            raise DomainError("checkpoint_path must be a str or os.PathLike")
 
 
 @dataclass(frozen=True)
@@ -313,17 +320,21 @@ def _walk(
     L: int,
     prefix: tuple[int, ...],
     reduction: bool,
-    stop: int,
+    keep: bool,
     node_cap: int | None,
     deadline: float | None,
-    tally: _Tally,
-) -> tuple[int, bool]:
+    stop: int | None = None,
+) -> tuple[int, int, tuple[int, ...] | None, list | None, bool]:
     """Depth-first scan of free R-words of length L that extend `prefix`.
 
-    Walks down to `stop` letters, 1 <= stop <= L, adds the surviving words of
-    `stop` letters to the tally in lex order, and returns the nodes expanded
-    (one per attempted letter append below the prefix) and whether a budget
-    tripped. With stop == L every word added is crucial once reversed. The
+    Takes _scan_branch's task and returns its record, as _native.scan_branch
+    does: the nodes expanded (one per attempted letter append below the
+    prefix), the words found, the least of them, every one in lex order if
+    keep else None, and whether a budget tripped, the words so far counted.
+    Every word of L letters reached is crucial, and is counted in W form:
+    W-canonical with reduction, the plain reverse without. With stop, 1 <=
+    stop <= L, the walk is the split instead: it stops `stop` letters deep
+    and its words are the R-prefixes that survive there, as they are. The
     prefix must be one the same scan reaches, as _branches returns them: the
     walk descends through it one forced letter per depth, and nodes starts at
     -len(prefix), so only the appends below the prefix count.
@@ -341,19 +352,23 @@ def _walk(
     most block j+1 may reach. The bit of letter x sits at the top of its
     lane, so (named + fill) & full marks the letters named at least once.
     """
+    words: list[tuple[int, ...]] | None = [] if keep else None
     if n > (L + 1) // k:
-        return 0, False  # fewer slots than letters: no word completes them all
+        return 0, 0, None, words, False  # fewer slots than letters: no word completes them all
     unit, bit, letter_of, full, fill = _lanes(n)
     top = _LANE - 1
     events = _slot_events(k, L)
     choices = _choices(n, reduction)
+    form = tuple if stop else _w_canonical if reduction else _reversed
+    stop = stop or L
     forced = [(a,) for a in prefix] + [()] * (stop - len(prefix))
     P = [0] * (L + 1)
     S = [0] * (((L + 1) // k + 1) * k)
     G = [0] * len(S)
     word = [0] * stop
     frames: list[tuple] = [()] * stop
-    leaf = tally.leaf
+    count = 0
+    least = None
     nodes = -len(prefix)
     m = seen = done = named = 0
     # every frame saves these; only the depths that set them read them
@@ -393,10 +408,10 @@ def _walk(
         for a in letters:
             nodes += 1
             if node_cap is not None and nodes > node_cap:
-                return nodes, True
+                return nodes, count, least, words, True
             if deadline is not None and nodes & _TIME_CHECK_MASK == 0:
                 if time.monotonic() > deadline:
-                    return nodes, True
+                    return nodes, count, least, words, True
             P[t] = pa = pm + unit[a]
             if ev is not None:
                 d, c = done, named
@@ -442,14 +457,19 @@ def _walk(
                 continue  # the extension ends in an abelian k-th power
             word[m] = a
             if t == stop:
-                leaf(word)
+                w = form(word)
+                count += 1
+                if least is None or w < least:
+                    least = w
+                if keep:
+                    words.append(w)
                 continue
             frames[m] = (letters, seen, done, named, d, c, recount, nbase, nceil, nslot, rbit, rtarget, live)
             m, seen, done, named, letters = t, max(seen, a), d, c, None
             break
         else:
             if m == 0:
-                return nodes, False
+                return nodes, count, least, words, False
             m -= 1
             letters, seen, done, named, d, c, recount, nbase, nceil, nslot, rbit, rtarget, live = frames[m]
 
@@ -465,29 +485,6 @@ def _reversed(r: list[int]) -> tuple[int, ...]:
     return tuple(reversed(r))
 
 
-@dataclass
-class _Tally:
-    """The words a scan finds: how many, the least, and each one if `words`
-    is a list. A walk adds each leaf it reaches, mapped by `form`; a search
-    adds each branch's record. Find and verify keep no list."""
-
-    words: list[tuple[int, ...]] | None = None
-    form: Callable[[list[int]], tuple[int, ...]] = tuple
-    count: int = 0
-    least: tuple[int, ...] | None = None
-
-    def add(self, count: int, least: tuple[int, ...] | None, words=()) -> None:
-        self.count += count
-        if least is not None and (self.least is None or least < self.least):
-            self.least = least
-        if self.words is not None:
-            self.words.extend(words)
-
-    def leaf(self, letters: list[int]) -> None:
-        w = self.form(letters)
-        self.add(1, w, (w,))
-
-
 def _branches(
     n: int, k: int, L: int, reduction: bool, node_cap: int | None = None
 ) -> tuple[list[tuple[int, ...]], int]:
@@ -499,9 +496,9 @@ def _branches(
     per attempted letter append. The walk is the scan's, stopped early; a
     count over node_cap means the cap tripped and the prefixes are partial.
     """
-    prefixes: list[tuple[int, ...]] = []
-    depth = min(_BRANCH_DEPTH, L)
-    nodes, _ = _walk(n, k, L, (), reduction, depth, node_cap, None, _Tally(prefixes))
+    nodes, _, _, prefixes, _ = _walk(
+        n, k, L, (), reduction, True, node_cap, None, min(_BRANCH_DEPTH, L)
+    )
     return prefixes, nodes
 
 
@@ -514,13 +511,7 @@ def _scan_branch(task: tuple) -> tuple[int, int, tuple[int, ...] | None, list | 
     else None, and whether a budget tripped mid-branch. The compiled walker
     scans it when it can, else _walk.
     """
-    record = _native.scan_branch(task)
-    if record is None:
-        n, k, L, prefix, reduction, keep, node_cap, deadline = task
-        tally = _Tally([] if keep else None, _w_canonical if reduction else _reversed)
-        nodes, tripped = _walk(n, k, L, prefix, reduction, L, node_cap, deadline, tally)
-        record = nodes, tally.count, tally.least, tally.words, tripped
-    return record
+    return _native.scan_branch(task) or _walk(*task)
 
 
 class _Checkpoint:
@@ -539,8 +530,11 @@ class _Checkpoint:
             f"reduction={int(cfg.symmetry_reduction)} depth={_BRANCH_DEPTH}"
         )
         self.done: dict[tuple[int, tuple[int, ...]], tuple[int, int, tuple[int, ...] | None]] = {}
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.fh = open(self.path, "a+")
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self.fh = open(self.path, "a+")
+        except OSError as e:
+            raise DomainError(f"checkpoint {self.path} cannot be opened: {e.strerror}") from None
         try:
             try:
                 fcntl.flock(self.fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -656,9 +650,22 @@ class _Workers:
 
 @dataclass
 class _ScanState:
-    hits: _Tally
+    """A search's running totals: its nodes, whether a budget tripped, and
+    the words its branches found: how many, the least, and each one if
+    `words` is a list. Find and verify keep no list."""
+
+    words: list[tuple[int, ...]] | None = None
+    count: int = 0
+    least: tuple[int, ...] | None = None
     nodes: int = 0
     tripped: bool = False
+
+    def add(self, count: int, least: tuple[int, ...] | None, words) -> None:
+        self.count += count
+        if least is not None and (self.least is None or least < self.least):
+            self.least = least
+        if self.words is not None:
+            self.words.extend(words)
 
 
 def _left(cfg: SearchConfig, state: _ScanState) -> int | None:
@@ -696,7 +703,7 @@ def _scan_length(
     if _spend(cfg, state, enum_nodes):
         return
 
-    keep = state.hits.words is not None
+    keep = state.words is not None
 
     def task(prefix: tuple[int, ...]) -> tuple:
         return (cfg.n, cfg.k, L, prefix, cfg.symmetry_reduction, keep, _left(cfg, state), deadline)
@@ -724,7 +731,7 @@ def _scan_length(
             return  # over budget: the branch's words do not count, nor is it recorded
         if ckpt and rec is None:
             ckpt.record(L, prefix, nodes, count, least)
-        state.hits.add(count, least, words or ())
+        state.add(count, least, words or ())
         if deadline is not None and time.monotonic() > deadline:
             state.tripped = True
             return
@@ -737,25 +744,25 @@ def _search(
     of every mode: only it starts a pool or opens a checkpoint."""
     ckpt = _Checkpoint(cfg.checkpoint_path, cfg) if cfg.checkpoint_path is not None else None
     deadline = time.monotonic() + cfg.time_budget if cfg.time_budget is not None else None
-    state = _ScanState(_Tally(words))
+    state = _ScanState(words)
     workers = _Workers(cfg.workers)
     try:
         for L in lengths:
             _scan_length(cfg, L, state, ckpt, deadline, workers)
-            if state.hits.count or state.tripped:
+            if state.count or state.tripped:
                 break
     finally:
         # forked workers share the locked file, so they go first
         workers.close()
         if ckpt is not None:
             ckpt.close()
-    least = state.hits.least
+    least = state.least
     return SearchResult(
         minimal_length=L if least is not None else None,  # hits stop the scan at L
         witness=None if least is None else _word_of(least, cfg.n),
         exhaustive=not state.tripped,
         nodes_expanded=state.nodes,
-        crucial_words_found=state.hits.count,
+        crucial_words_found=state.count,
     )
 
 

@@ -337,6 +337,15 @@ class TestSearch:
         assert ckpt.exists()
         assert ckpt.read_text().startswith("# crucialis checkpoint v4 n=2 k=3")
 
+    def test_unopenable_checkpoint_dir_is_a_usage_error(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        monkeypatch.setenv("CRUCIALIS_CHECKPOINT_DIR", str(blocker / "sub"))
+        code, out, err = invoke(["search", "--n", "3", "--k", "3"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: checkpoint ") and err.count("\n") == 1
+
 
 class TestTable:
     def test_families_text_matches_library(self):

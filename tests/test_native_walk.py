@@ -11,6 +11,7 @@ import os
 import shutil
 import struct
 import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -215,6 +216,39 @@ def test_failed_build_falls_back_to_python(monkeypatch, tmp_path):
         assert list((tmp_path / "crucialis").iterdir()) == []  # no partial build is left
     finally:
         _native._library.cache_clear()
+
+
+def test_the_build_compiles_the_source_read_at_import(monkeypatch, tmp_path):
+    # an edit of _walk.c on disk after import must not reach this process's
+    # build, whose argument layout is the imported glue's
+    broken = tmp_path / "_walk.c"
+    broken.write_text("this is not C\n")
+    monkeypatch.setattr(_native, "_SOURCE", broken)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    _native._library.cache_clear()
+    try:
+        assert _native._library() is not None
+        assert len(list((tmp_path / "cache" / "crucialis").iterdir())) == 1
+    finally:
+        _native._library.cache_clear()
+
+
+def test_a_missing_source_falls_back_to_python(tmp_path):
+    package = tmp_path / "crucialis"
+    shutil.copytree(os.path.dirname(_native.__file__), package,
+                    ignore=shutil.ignore_patterns("_walk.c", "__pycache__"))
+    script = (
+        "from crucialis import _native\n"
+        "from crucialis.search import SearchConfig, search_minimal\n"
+        "assert _native._CODE is None and _native._library() is None\n"
+        "print(search_minimal(SearchConfig(3, 3)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(tmp_path), XDG_CACHE_HOME=str(tmp_path / "cache"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{search_minimal(SearchConfig(3, 3))}\n"
+    assert not (tmp_path / "cache").exists()
 
 
 def group_running(pgid: int) -> list[int]:

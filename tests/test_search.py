@@ -481,6 +481,15 @@ class TestCheckpoints:
         assert again == first
         assert path.stat().st_size == size
 
+    @pytest.mark.parametrize("where", ["under_a_file", "a_directory"])
+    def test_unopenable_file_rejected(self, tmp_path, where):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        path = blocker / "sub" / "scan.ckpt" if where == "under_a_file" else tmp_path
+        with pytest.raises(DomainError, match="cannot be opened"):
+            search_minimal(SearchConfig(n=2, k=3, checkpoint_path=path))
+        assert blocker.read_text() == ""
+
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "scan.ckpt"
         search_minimal(SearchConfig(n=2, k=3, checkpoint_path=path))
@@ -664,6 +673,11 @@ class TestConfigValidation:
             dict(n=2, k=3, node_budget=2.5),
             dict(n=2, k=3, node_budget=True),
             dict(n=2, k=3, target_mode=VerifyNoneBelow(11.5)),
+            dict(n=3, k=3, symmetry_reduction="no"),
+            dict(n=3, k=3, symmetry_reduction=1),
+            dict(n=3, k=3, symmetry_reduction=None),
+            dict(n=3, k=3, checkpoint_path=5),
+            dict(n=3, k=3, checkpoint_path=b"scan.ckpt"),
         ],
     )
     def test_rejected(self, kwargs):

@@ -13,7 +13,6 @@ from crucialis.search import (
     VerifyNoneBelow,
     _branches,
     _scan_branch,
-    _Tally,
     _walk,
     enumerate_crucial,
     search_minimal,
@@ -167,20 +166,18 @@ def test_branch_walks_partition_the_root_walk(n, k, reduction):
     a branch's node cap bounds exactly those appends."""
     split = 0
     for L in range(k - 1, 16, k):
-        hits = []
-        nodes, tripped = _walk(n, k, L, (), reduction, L, None, None, _Tally(hits))
+        nodes, _, _, hits, tripped = _walk(n, k, L, (), reduction, True, None, None, L)
         assert not tripped
         prefixes, enum_nodes = _branches(n, k, L, reduction)
         total, joined = enum_nodes, []
         for prefix in prefixes:
-            found = []
-            below, tripped = _walk(n, k, L, prefix, reduction, L, None, None, _Tally(found))
+            below, _, _, found, tripped = _walk(n, k, L, prefix, reduction, True, None, None, L)
             assert not tripped
             assert all(r[: len(prefix)] == prefix for r in found)
             total += below
             joined += found
             for cap in {0, 1, below // 2, below - 1, below, below + 1} - {-1}:
-                capped, tripped = _walk(n, k, L, prefix, reduction, L, cap, None, _Tally())
+                capped, *_, tripped = _walk(n, k, L, prefix, reduction, False, cap, None)
                 assert tripped == (below > cap), (L, prefix, cap)
                 assert capped == (cap + 1 if tripped else below), (L, prefix, cap)
         assert (total, joined) == (nodes, hits), L
