@@ -153,13 +153,13 @@ def _tables(n: int, k: int, L: int) -> tuple[tuple[int, ...], tuple]:
 
 def scan_branch(task: tuple) -> tuple | None:
     """search._walk(*task) on the compiled walker: the same record (nodes,
-    count, least, words, tripped) for the same task (n, k, L, prefix,
-    reduction, keep, node_cap, deadline), or None when the walker cannot run
-    this scan and search._walk must.
+    count, least, words, tripped) for the same task (n, k, L, prefix, keep,
+    node_cap, deadline), or None when the walker cannot run this scan and
+    search._walk must.
 
     Buffers go to C as array.array addresses, alive for the call: a ctypes
     array of a new size would create a ctypes type, cyclic garbage."""
-    n, k, L, prefix, reduction, keep, node_cap, deadline = task
+    n, k, L, prefix, keep, node_cap, deadline = task
     if n > _MAX_LETTERS:
         return None
     lib = _library()
@@ -172,7 +172,7 @@ def scan_branch(task: tuple) -> tuple | None:
     least = array("B", bytes(L))
     a = array("q", tables[0])
     a.extend((  # the slots A_PREFIX..A_KEPT
-        letters.buffer_info()[0], len(prefix), reduction,
+        letters.buffer_info()[0], len(prefix),
         -1 if node_cap is None else min(node_cap, _NODES_MAX),
         keep, least.buffer_info()[0], 0, 0, 0, 0,
     ))

@@ -9,6 +9,7 @@
  * Change both together. The branch split stays in Python. The slot table
  * (search._slot_events) and the lane constants (search._lanes) are built in
  * Python and passed in flattened (see _native.py), so they are defined once.
+ * Like _walk, it scans canonical R only: every search runs that one scan.
  *
  * The packed letter counts are unsigned __int128, 7 lanes of 17 bits, where
  * Python's ints are unbounded. Every expression here is a sum of at most a
@@ -48,7 +49,7 @@ typedef struct {
 } Frame;
 
 typedef struct {
-    int L, reduction, keep;
+    int L, keep;
     uint8_t *word, *formed, *least, *kept;
     int64_t count, room;
 } Leaves;
@@ -74,10 +75,9 @@ static int letter_of(u128 v, const u128 *unit, int n)
     return 0;
 }
 
-/* A leaf of search._walk: map the word R to W, W-canonical under symmetry
- * reduction and the plain reverse of R without it, count it, keep the least,
- * and append it to the kept words when words are kept. 0, or -1 when the
- * kept words cannot grow */
+/* A leaf of search._walk: map the word R to its W-canonical form, count it,
+ * keep the least, and append it to the kept words when words are kept. 0, or
+ * -1 when the kept words cannot grow */
 static int leaf(Leaves *lv)
 {
     int L = lv->L;
@@ -90,18 +90,13 @@ static int leaf(Leaves *lv)
         lv->room = room;
     }
     uint8_t *out = lv->keep ? lv->kept + lv->count * L : lv->formed;
-    if (lv->reduction) {
-        uint8_t names[MAX_LETTERS + 1] = {0};
-        int named = 0;
-        for (int i = 0; i < L; i++) {
-            uint8_t a = lv->word[L - 1 - i];
-            if (!names[a])
-                names[a] = (uint8_t)++named;
-            out[i] = names[a];
-        }
-    } else {
-        for (int i = 0; i < L; i++)
-            out[i] = lv->word[L - 1 - i];
+    uint8_t names[MAX_LETTERS + 1] = {0};
+    int named = 0;
+    for (int i = 0; i < L; i++) {
+        uint8_t a = lv->word[L - 1 - i];
+        if (!names[a])
+            names[a] = (uint8_t)++named;
+        out[i] = names[a];
     }
     if (lv->count++ == 0 || memcmp(out, lv->least, (size_t)L) < 0)
         memcpy(lv->least, out, (size_t)L);
@@ -118,7 +113,7 @@ void crucialis_free(void *kept)
  * caller fills those before A_NODES; the walk writes the rest. */
 enum {
     A_N, A_K, A_L, A_TOP, A_LANES, A_EVENTS, A_LISTS, A_NLISTS, /* fixed by (n, k, L) */
-    A_PREFIX, A_PLEN, A_REDUCTION, A_NODE_CAP, A_KEEP, A_LEAST,
+    A_PREFIX, A_PLEN, A_NODE_CAP, A_KEEP, A_LEAST,
     A_NODES, A_TRIPPED, A_COUNT, A_KEPT
 };
 
@@ -131,12 +126,11 @@ enum {
  * pairs, and A_TOP is the lane's top bit. A_EVENTS holds ROW ints per depth
  * t = 0..L, and A_LISTS the A_NLISTS (b, j) pairs, half and prog entries
  * they point at. A_NODE_CAP < 0 means no cap, deadline < 0 no deadline.
- * Each leaf is mapped to W, W-canonical with A_REDUCTION and reversed
- * without; each one is counted and the least is kept at A_LEAST. With
- * A_KEEP, every word is also kept, in order, in a buffer whose address goes
- * to A_KEPT, which the caller frees with crucialis_free. A_NODES, A_TRIPPED
- * and A_COUNT receive the nodes, whether a budget tripped and the words
- * found.
+ * Each leaf is mapped to its W-canonical form and counted, and the least is
+ * kept at A_LEAST. With A_KEEP, every word is also kept, in order, in a
+ * buffer whose address goes to A_KEPT, which the caller frees with
+ * crucialis_free. A_NODES, A_TRIPPED and A_COUNT receive the nodes, whether
+ * a budget tripped and the words found.
  *
  * Returns 0, or -1 if memory ran out; then nothing is kept. */
 int crucialis_walk(int64_t *a, double deadline)
@@ -147,7 +141,7 @@ int crucialis_walk(int64_t *a, double deadline)
     const int32_t *lists = ADDRESS(const int32_t *, A_LISTS);
     int64_t nlists = a[A_NLISTS];
     const uint8_t *prefix = ADDRESS(const uint8_t *, A_PREFIX);
-    int plen = (int)a[A_PLEN], reduction = (int)a[A_REDUCTION], keep = (int)a[A_KEEP];
+    int plen = (int)a[A_PLEN], keep = (int)a[A_KEEP];
     int64_t node_cap = a[A_NODE_CAP];
     uint8_t *least = ADDRESS(uint8_t *, A_LEAST);
 
@@ -179,7 +173,7 @@ int crucialis_walk(int64_t *a, double deadline)
         goto end;
     status = 0;
 
-    Leaves lv = {L, reduction, keep, word, formed, least, NULL, 0, 0};
+    Leaves lv = {L, keep, word, formed, least, NULL, 0, 0};
     int64_t nodes = -plen;
     int tripped = 0;
     int m = 0;
@@ -226,7 +220,7 @@ int crucialis_walk(int64_t *a, double deadline)
             f->a = f->last = prefix[m];
         } else {
             f->a = 1;
-            f->last = reduction && seen + 1 < n ? seen + 1 : n;
+            f->last = seen + 1 < n ? seen + 1 : n;
         }
 
         /* try the letters of depth m, descending into the first that survives */

@@ -207,6 +207,8 @@ def _cmd_search(args, out, err) -> int:
     )
     if args.mode in ("none-below", "enumerate") and args.length is None:
         raise _UsageError(f"--length is required for --mode {args.mode}")
+    if args.mode == "min" and args.length is not None:
+        raise _UsageError("--length applies to --mode none-below and enumerate only")
 
     if args.mode == "min":
         cfg = SearchConfig(

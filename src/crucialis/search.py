@@ -79,13 +79,18 @@ each block in progress kills at most one slot, which unnames at most one
 letter, so otherwise the matching exists. A slot with b-1 = t counts as
 free: P[t] is the count being written at depth t.
 
-Symmetry reduction restricts the scan to canonical R, whose letters are named
-in order of first occurrence in R (letter i+1 may only appear after letter i
-has). Renaming preserves freeness and cruciality, and each renaming class has
-exactly one canonical member, so the scan meets each class once. A hit R maps
-to W-canonical form: reverse it, then rename by first occurrence in W. That
-form is the lex-least member of its class. Without the reduction a hit maps
-to its plain reverse.
+Every search scans only canonical R, whose letters are named in order of
+first occurrence in R (letter i+1 may only appear after letter i has).
+Renaming preserves abelian powers, so it preserves freeness and cruciality,
+and each renaming class has exactly one canonical member, so the scan meets
+each class once. A hit R maps to W-canonical form: reverse it, then rename
+by first occurrence in W. That form is the lex-least member of its class.
+A crucial word W contains every letter: were x missing, the power that W.x
+ends in would have x in its last block, so also in its first block, which
+lies inside W. So each class has exactly n! members. symmetry_reduction=False
+multiplies crucial_words_found by n! and enumerates every renaming of each
+canonical word, sorted; its witness and nodes_expanded are the canonical
+scan's, since each class's lex-least member is its W-canonical form.
 
 One driver runs every mode. Find and verify scan the residue lengths upward,
 enumeration its one length, and the first length with hits is finished whole.
@@ -94,9 +99,9 @@ Find stops by bounds(n, k).upper, the length of a crucial family word, so by
 The walk maps each hit as it reaches it. Find and verify keep only the count
 and the least mapped hit, so their memory does not grow with the hits. The
 least is the lex-least canonical crucial word of the minimal length, the
-witness a forward scan reports. crucial_words_found counts every crucial word
-scanned at that length: every canonical word under symmetry reduction, every
-word without it. Enumeration keeps every hit and sorts them.
+witness a forward scan reports. crucial_words_found counts the crucial words
+at that length, the canonical ones under symmetry reduction. Enumeration
+keeps every hit and sorts them.
 
 The tree is split at a fixed shallow depth into branches, prefixes of R.
 A branch walk descends through its prefix with the same DFS, one forced
@@ -126,15 +131,17 @@ scanned, so a trip there raises BudgetExhaustedError without yielding any
 word.
 
 Checkpoint files make long scans resumable. The file starts with a header
-line recording the format version, n, k, reduction flag and branch depth,
+line recording the format version, n, k, reduction=1 and the branch depth,
 then one line per completed branch: target length, comma-joined branch
 prefix of R, nodes expanded below it, number of crucial words found, and the
 least of them in W form (or -). Re-running with the same configuration reuses
 recorded branches and appends new ones; find and verify runs of the same
 (n, k) may share a file, one search at a time: a search holds an exclusive
 lock on its file while it runs, and a second search on the same file raises
-DomainError without touching it. A torn final line, left by an interrupted
-write, is cut off on load; a malformed line anywhere else raises DomainError.
+DomainError without touching it. Records hold canonical counts whatever
+symmetry_reduction is, so a v4 file with reduction=0 is rejected. A torn
+final line, left by an interrupted write, is cut off on load; a malformed
+line anywhere else raises DomainError.
 
 The compiled walker. For n <= 7, with gcc on PATH, _scan_branch runs on
 _walk.c, a second copy of _walk in C that _native.py builds on first use
@@ -158,10 +165,12 @@ raised when the scan returns.
 from __future__ import annotations
 
 import fcntl
+import math
 import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import permutations
 from pathlib import Path
 from typing import Iterator, Union
 
@@ -242,8 +251,9 @@ class SearchResult:
     crucial_words_found=0 in verify mode certifies the absence claim;
     exhaustive=False means budgets cut the run short and the fields report
     whatever was established before the cut. crucial_words_found counts the
-    crucial words scanned at the minimal length (one per renaming class under
-    symmetry reduction).
+    crucial words at the minimal length: one per renaming class under
+    symmetry reduction, n! per class without it. nodes_expanded is the same
+    either way, the nodes of the one canonical scan.
     """
 
     minimal_length: int | None
@@ -309,9 +319,9 @@ def _slot_events(k: int, L: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _choices(n: int, reduction: bool) -> tuple[range, ...]:
-    """The letters a scan may append, indexed by the largest letter seen."""
-    return tuple(range(1, (min(seen + 1, n) if reduction else n) + 1) for seen in range(n + 1))
+def _choices(n: int) -> tuple[range, ...]:
+    """The letters a canonical scan may append, indexed by the largest letter seen."""
+    return tuple(range(1, min(seen + 1, n) + 1) for seen in range(n + 1))
 
 
 def _walk(
@@ -319,25 +329,24 @@ def _walk(
     k: int,
     L: int,
     prefix: tuple[int, ...],
-    reduction: bool,
     keep: bool,
     node_cap: int | None,
     deadline: float | None,
     stop: int | None = None,
 ) -> tuple[int, int, tuple[int, ...] | None, list | None, bool]:
-    """Depth-first scan of free R-words of length L that extend `prefix`.
+    """Depth-first scan of free canonical R-words of length L that extend `prefix`.
 
     Takes _scan_branch's task and returns its record, as _native.scan_branch
     does: the nodes expanded (one per attempted letter append below the
     prefix), the words found, the least of them, every one in lex order if
     keep else None, and whether a budget tripped, the words so far counted.
-    Every word of L letters reached is crucial, and is counted in W form:
-    W-canonical with reduction, the plain reverse without. With stop, 1 <=
-    stop <= L, the walk is the split instead: it stops `stop` letters deep
-    and its words are the R-prefixes that survive there, as they are. The
-    prefix must be one the same scan reaches, as _branches returns them: the
-    walk descends through it one forced letter per depth, and nodes starts at
-    -len(prefix), so only the appends below the prefix count.
+    Every word of L letters reached is crucial, and is counted in W-canonical
+    form. With stop, 1 <= stop <= L, the walk is the split instead: it stops
+    `stop` letters deep and its words are the R-prefixes that survive there,
+    as they are. The prefix must be one the same scan reaches, as _branches
+    returns them: the walk descends through it one forced letter per depth,
+    and nodes starts at -len(prefix), so only the appends below the prefix
+    count.
 
     The walk is one loop that keeps one frame per depth of its path, as
     _walk.c does, and no Python call per depth, so a scan thousands of
@@ -358,8 +367,8 @@ def _walk(
     unit, bit, letter_of, full, fill = _lanes(n)
     top = _LANE - 1
     events = _slot_events(k, L)
-    choices = _choices(n, reduction)
-    form = tuple if stop else _w_canonical if reduction else _reversed
+    choices = _choices(n)
+    form = tuple if stop else _w_canonical
     stop = stop or L
     forced = [(a,) for a in prefix] + [()] * (stop - len(prefix))
     P = [0] * (L + 1)
@@ -480,13 +489,8 @@ def _w_canonical(r: list[int]) -> tuple[int, ...]:
     return tuple(names.setdefault(a, len(names) + 1) for a in reversed(r))
 
 
-def _reversed(r: list[int]) -> tuple[int, ...]:
-    """The word W whose reverse is r."""
-    return tuple(reversed(r))
-
-
 def _branches(
-    n: int, k: int, L: int, reduction: bool, node_cap: int | None = None
+    n: int, k: int, L: int, node_cap: int | None = None
 ) -> tuple[list[tuple[int, ...]], int]:
     """The branches of a scan to length L: all R-prefixes of min(_BRANCH_DEPTH,
     L) letters that the scan reaches. This is the split rule, the one place
@@ -496,16 +500,14 @@ def _branches(
     per attempted letter append. The walk is the scan's, stopped early; a
     count over node_cap means the cap tripped and the prefixes are partial.
     """
-    nodes, _, _, prefixes, _ = _walk(
-        n, k, L, (), reduction, True, node_cap, None, min(_BRANCH_DEPTH, L)
-    )
+    nodes, _, _, prefixes, _ = _walk(n, k, L, (), True, node_cap, None, min(_BRANCH_DEPTH, L))
     return prefixes, nodes
 
 
 def _scan_branch(task: tuple) -> tuple[int, int, tuple[int, ...] | None, list | None, bool]:
     """Depth-first scan below one branch prefix of R.
 
-    task = (n, k, L, prefix, reduction, keep, node_cap, deadline). Returns the
+    task = (n, k, L, prefix, keep, node_cap, deadline). Returns the
     branch's checkpoint record (nodes expanded below the prefix, crucial
     words found, the least of them in W form), the words in W form if keep
     else None, and whether a budget tripped mid-branch. The compiled walker
@@ -527,7 +529,7 @@ class _Checkpoint:
         self.n = cfg.n
         self.header = (
             f"# crucialis checkpoint v4 n={cfg.n} k={cfg.k} "
-            f"reduction={int(cfg.symmetry_reduction)} depth={_BRANCH_DEPTH}"
+            f"reduction=1 depth={_BRANCH_DEPTH}"
         )
         self.done: dict[tuple[int, tuple[int, ...]], tuple[int, int, tuple[int, ...] | None]] = {}
         try:
@@ -699,14 +701,14 @@ def _scan_length(
     Stops early only when a budget trips. Branches already in the checkpoint
     are reused, not re-run; fresh branches within the budget are recorded.
     """
-    prefixes, enum_nodes = _branches(cfg.n, cfg.k, L, cfg.symmetry_reduction, _left(cfg, state))
+    prefixes, enum_nodes = _branches(cfg.n, cfg.k, L, _left(cfg, state))
     if _spend(cfg, state, enum_nodes):
         return
 
     keep = state.words is not None
 
     def task(prefix: tuple[int, ...]) -> tuple:
-        return (cfg.n, cfg.k, L, prefix, cfg.symmetry_reduction, keep, _left(cfg, state), deadline)
+        return (cfg.n, cfg.k, L, prefix, keep, _left(cfg, state), deadline)
 
     recs = [ckpt.get(L, p) if ckpt else None for p in prefixes]
     pending = [p for p, rec in zip(prefixes, recs) if rec is None]
@@ -757,12 +759,13 @@ def _search(
         if ckpt is not None:
             ckpt.close()
     least = state.least
+    count = state.count if cfg.symmetry_reduction else state.count * math.factorial(cfg.n)
     return SearchResult(
         minimal_length=L if least is not None else None,  # hits stop the scan at L
         witness=None if least is None else _word_of(least, cfg.n),
         exhaustive=not state.tripped,
         nodes_expanded=state.nodes,
-        crucial_words_found=state.count,
+        crucial_words_found=count,
     )
 
 
@@ -799,9 +802,9 @@ def enumerate_crucial(cfg: SearchConfig) -> Iterator[Word]:
     """Yield every crucial word of the target length in lexicographic order.
 
     With symmetry reduction only canonical words are yielded (one per
-    renaming class). The whole length is scanned before the first word is
-    yielded, so a tripping budget raises BudgetExhaustedError without a
-    partial yield.
+    renaming class); without it, every renaming of each of them. The whole
+    length is scanned before the first word is yielded, so a tripping budget
+    raises BudgetExhaustedError without a partial yield.
     """
     if not isinstance(cfg.target_mode, EnumerateAllCrucialAtLength):
         raise DomainError(
@@ -814,5 +817,8 @@ def enumerate_crucial(cfg: SearchConfig) -> Iterator[Word]:
     result = _search(cfg, range(L, L + 1), words)
     if not result.exhaustive:
         raise BudgetExhaustedError(f"budget exhausted after {result.nodes_expanded} nodes")
+    if not cfg.symmetry_reduction:
+        names = [(0, *p) for p in permutations(range(1, cfg.n + 1))]
+        words = [tuple(map(name.__getitem__, w)) for w in words for name in names]
     for letters in sorted(words):
         yield _word_of(letters, cfg.n)

@@ -329,6 +329,12 @@ class TestSearch:
         assert code == 2
         assert err != ""
 
+    def test_minimal_search_rejects_length(self):
+        # a minimal search has no target length, so --length would go unread
+        code, out, err = invoke(["search", "--n", "3", "--k", "3", "--length", "5"])
+        assert code == 2
+        assert out == "" and "--length" in err
+
     def test_checkpoint_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CRUCIALIS_CHECKPOINT_DIR", str(tmp_path))
         code, out, _ = invoke(["search", "--n", "2", "--k", "3"])

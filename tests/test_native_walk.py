@@ -75,14 +75,13 @@ def test_source_compiles_without_warnings(tmp_path):
 
 
 @pytest.mark.parametrize("n,k,lengths", CELL_LENGTHS)
-@pytest.mark.parametrize("reduction", [True, False])
-def test_walkers_agree(n, k, lengths, reduction):
+def test_walkers_agree(n, k, lengths):
     """Equal branch records, kept words and nodes, with and without keeping
     the words."""
     for L in lengths:
-        for prefix in _branches(n, k, L, reduction)[0]:
+        for prefix in _branches(n, k, L)[0]:
             for keep in (False, True):
-                task = (n, k, L, prefix, reduction, keep, None, None)
+                task = (n, k, L, prefix, keep, None, None)
                 native_rec, python_rec = both(lambda: _scan_branch(task))
                 assert native_rec == python_rec, (L, prefix, keep)
 
@@ -96,16 +95,15 @@ def caps(nodes: int) -> list[int]:
 
 
 @pytest.mark.parametrize("n,k,lengths", CELL_LENGTHS)
-@pytest.mark.parametrize("reduction", [True, False])
-def test_walkers_trip_at_the_same_node(n, k, lengths, reduction):
+def test_walkers_trip_at_the_same_node(n, k, lengths):
     """A capped scan trips at cap + 1 exactly when the scan has more nodes,
     with the words _walk finds before that node. The search below runs every
     node budget on the cells whose minimum it finds."""
     for L in lengths:
-        for prefix in _branches(n, k, L, reduction)[0]:
-            nodes = _scan_branch((n, k, L, prefix, reduction, False, None, None))[0]
+        for prefix in _branches(n, k, L)[0]:
+            nodes = _scan_branch((n, k, L, prefix, False, None, None))[0]
             for cap in caps(nodes):
-                task = (n, k, L, prefix, reduction, True, cap, None)
+                task = (n, k, L, prefix, True, cap, None)
                 native, python = both(lambda: _scan_branch(task))
                 assert native == python, (L, prefix, cap)
                 assert native[0] == min(cap + 1, nodes) and native[4] == (cap < nodes)
@@ -131,14 +129,14 @@ def test_a_time_budget_trips_inside_a_branch():
     assert not result.exhaustive and result.minimal_length is None
 
 
-ROOT_SCAN = (3, 3, 14, (), False, True, None, None)  # the whole length, every word kept
+ROOT_SCAN = (3, 3, 14, (), True, None, None)  # the whole length, every word kept
 
 
 def test_a_root_walk_keeps_every_word():
-    # the kept words outgrow the walker's first buffer of 64 words seven times
+    # the kept words outgrow the walker's first buffer of 64 words five times
     native = _native.scan_branch(ROOT_SCAN)
     assert native == both(lambda: _scan_branch(ROOT_SCAN))[1]
-    assert len(native[3]) == native[1] == 6 * 1047
+    assert len(native[3]) == native[1] == 1047
 
 
 def test_words_that_cannot_be_kept_raise(monkeypatch):
@@ -161,7 +159,7 @@ def test_words_that_cannot_be_kept_raise(monkeypatch):
 
 def test_walkers_agree_thousands_of_letters_deep():
     # a scan that deep once overran the Python walk's recursion limit
-    task = (4, 2, 2001, (), True, True, 20_000, None)
+    task = (4, 2, 2001, (), True, 20_000, None)
     native, python = both(lambda: _scan_branch(task))
     assert native == python and native[0] == 20_001 and native[4]
 

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -80,7 +81,8 @@ class TestSymmetryReduction:
         off = search_minimal(SearchConfig(n=3, k=2, symmetry_reduction=False))
         assert on.minimal_length == off.minimal_length == 5
         assert on.witness == off.witness
-        assert off.nodes_expanded > on.nodes_expanded
+        assert off.nodes_expanded == on.nodes_expanded
+        assert off.crucial_words_found == 6 * on.crucial_words_found
 
     def test_enumeration_counts_scale_by_relabelings(self):
         canon = SearchConfig(n=2, k=3, target_mode=EnumerateAllCrucialAtLength(5))
@@ -133,26 +135,27 @@ class TestDeterminism:
         assert par == seq
 
     def test_parallel_budget_trip_stops_running_workers(self, tmp_path):
-        # Without reduction, (3,5) has three length-39 branches of 420.8 M
-        # nodes, (1,1,1,1) and its renamings (2,2,2,2) and (3,3,3,3). Record
-        # every branch below length 39 as scanned and empty, the first
-        # length-39 branch with a node count over the budget, and every other
-        # one as scanned but two of the large ones. The workers=2 run trips on
-        # consuming that record while its workers are still scanning those
-        # two, each capped at the budget.
+        # At (5,4) and length 51, the branch (1,2,2,2) takes 50.9 M nodes,
+        # 2 to 3 s on the compiled walker, and (1,2,3,4) 1.30 G nodes, 45 to
+        # 60 s. Record every branch up to length 51 as scanned and empty but
+        # those two, and (1,2,2,3), which comes between them, with a node
+        # count over the budget. The workers=2 run scans the two at once. It
+        # trips on consuming (1,2,2,3) once (1,2,2,2) is done, while the
+        # other worker still scans (1,2,3,4) under a cap over its size: the
+        # search must kill that worker, not wait for it.
         path = tmp_path / "scan.ckpt"
-        ckpt = _Checkpoint(path, SearchConfig(n=3, k=5, symmetry_reduction=False))
-        for L in range(4, 40, 5):
-            for prefix in _branches(3, 5, L, False)[0]:
-                if prefix not in ((2, 2, 2, 2), (3, 3, 3, 3)):
-                    over = L == 39 and prefix == (1, 1, 1, 1)
-                    ckpt.record(L, prefix, 10**9 + 1 if over else 1, 0, None)
+        ckpt = _Checkpoint(path, SearchConfig(n=5, k=4))
+        for L in range(3, 52, 4):
+            for prefix in _branches(5, 4, L)[0]:
+                if L < 51 or prefix not in ((1, 2, 2, 2), (1, 2, 3, 4)):
+                    over = L == 51 and prefix == (1, 2, 2, 3)
+                    ckpt.record(L, prefix, 10**10 + 1 if over else 1, 0, None)
         ckpt.close()  # releases the lock for the search below
         script = (
             "import sys\n"
             "from crucialis.search import SearchConfig, search_minimal\n"
-            "r = search_minimal(SearchConfig(n=3, k=5, symmetry_reduction=False,\n"
-            "    workers=2, node_budget=10**9, checkpoint_path=sys.argv[1]))\n"
+            "r = search_minimal(SearchConfig(n=5, k=4, workers=2, node_budget=10**10,\n"
+            "    checkpoint_path=sys.argv[1]))\n"
             "print(r.exhaustive, r.minimal_length, r.nodes_expanded)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(crucialis.__file__).parents[1]))
@@ -161,11 +164,10 @@ class TestDeterminism:
             [sys.executable, "-c", script, str(path)],
             capture_output=True, text=True, env=env, timeout=60,
         )
-        # a worker left to finish its branch would scan 420.8 M nodes, over 10 s
-        # on the compiled walker
+        # a worker left to finish (1,2,3,4) would take most of a minute more
         assert time.monotonic() - started < 5.0
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "None", str(10**9 + 1)]
+        assert proc.stdout.split() == ["False", "None", str(10**10 + 1)]
 
 
     def test_dead_worker_fails_the_search(self, tmp_path):
@@ -231,7 +233,7 @@ class TestDeterminism:
         path = tmp_path / "scan.ckpt"
         ckpt = _Checkpoint(path, SearchConfig(n=3, k=5))
         for L in range(4, 40, 5):
-            for prefix in _branches(3, 5, L, True)[0]:
+            for prefix in _branches(3, 5, L)[0]:
                 if L < 39 or prefix not in ((1, 1, 1, 1), (1, 2, 3, 3)):
                     ckpt.record(L, prefix, 1, 0, None)
         ckpt.close()  # releases the lock for the search below
@@ -510,6 +512,36 @@ class TestCheckpoints:
             with pytest.raises(DomainError, match="different search"):
                 search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path))
             assert path.read_text() == text
+
+    def test_unreduced_format_rejected_and_not_merged(self, tmp_path):
+        # a reduction=0 file holds the records of an unreduced scan
+        fresh = tmp_path / "fresh.ckpt"
+        search_minimal(SearchConfig(n=3, k=3, checkpoint_path=fresh))
+        header = fresh.read_text().splitlines()[0]
+        assert header == "# crucialis checkpoint v4 n=3 k=3 reduction=1 depth=4"
+        path = tmp_path / "unreduced.ckpt"
+        text = header.replace("reduction=1", "reduction=0") + "\n11 1,1,1,2 7 0 -\n"
+        path.write_text(text)
+        for reduction in (True, False):
+            cfg = SearchConfig(n=3, k=3, symmetry_reduction=reduction, checkpoint_path=path)
+            with pytest.raises(DomainError, match="different search"):
+                search_minimal(cfg)
+        assert path.read_text() == text
+
+    def test_unreduced_search_resumes_a_default_file(self, tmp_path):
+        # every search scans the canonical words, so both read the same records
+        path = tmp_path / "scan.ckpt"
+        assert not search_minimal(
+            SearchConfig(n=3, k=3, node_budget=300, checkpoint_path=path)
+        ).exhaustive
+        recorded = path.read_text()
+        resumed = search_minimal(
+            SearchConfig(n=3, k=3, symmetry_reduction=False, checkpoint_path=path)
+        )
+        canonical = search_minimal(SearchConfig(n=3, k=3))
+        assert resumed == replace(canonical, crucial_words_found=6 * canonical.crucial_words_found)
+        assert resumed == search_minimal(SearchConfig(n=3, k=3, symmetry_reduction=False))
+        assert path.read_text().startswith(recorded) and path.read_text() != recorded
 
     def test_torn_tail_line_tolerated(self, tmp_path):
         path = tmp_path / "scan.ckpt"

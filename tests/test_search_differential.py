@@ -159,25 +159,24 @@ WALK_CELLS = [(2, 3), (3, 3), (2, 4), (4, 3), (3, 4), (2, 5), (3, 2)]
 
 
 @pytest.mark.parametrize("n,k", WALK_CELLS)
-@pytest.mark.parametrize("reduction", [True, False])
-def test_branch_walks_partition_the_root_walk(n, k, reduction):
+def test_branch_walks_partition_the_root_walk(n, k):
     """A walk below a branch prefix counts only the appends below it: the branch
     split plus its branch walks is the one root walk, nodes and hits alike, and
     a branch's node cap bounds exactly those appends."""
     split = 0
     for L in range(k - 1, 16, k):
-        nodes, _, _, hits, tripped = _walk(n, k, L, (), reduction, True, None, None, L)
+        nodes, _, _, hits, tripped = _walk(n, k, L, (), True, None, None, L)
         assert not tripped
-        prefixes, enum_nodes = _branches(n, k, L, reduction)
+        prefixes, enum_nodes = _branches(n, k, L)
         total, joined = enum_nodes, []
         for prefix in prefixes:
-            below, _, _, found, tripped = _walk(n, k, L, prefix, reduction, True, None, None, L)
+            below, _, _, found, tripped = _walk(n, k, L, prefix, True, None, None, L)
             assert not tripped
             assert all(r[: len(prefix)] == prefix for r in found)
             total += below
             joined += found
             for cap in {0, 1, below // 2, below - 1, below, below + 1} - {-1}:
-                capped, *_, tripped = _walk(n, k, L, prefix, reduction, False, cap, None)
+                capped, *_, tripped = _walk(n, k, L, prefix, False, cap, None)
                 assert tripped == (below > cap), (L, prefix, cap)
                 assert capped == (cap + 1 if tripped else below), (L, prefix, cap)
         assert (total, joined) == (nodes, hits), L
@@ -186,16 +185,15 @@ def test_branch_walks_partition_the_root_walk(n, k, reduction):
 
 
 @pytest.mark.parametrize("n,k", WALK_CELLS)
-@pytest.mark.parametrize("reduction", [True, False])
-def test_count_only_scan_matches_the_kept_hits(n, k, reduction):
+def test_count_only_scan_matches_the_kept_hits(n, k):
     """Find and verify keep no word of a branch, only its count and least hit:
     those equal the count and least of the words an enumerating scan keeps."""
     for L in range(k - 1, 16, k):
-        for prefix in _branches(n, k, L, reduction)[0]:
+        for prefix in _branches(n, k, L)[0]:
             nodes, count, least, words, tripped = _scan_branch(
-                (n, k, L, prefix, reduction, False, None, None)
+                (n, k, L, prefix, False, None, None)
             )
             assert words is None and not tripped
-            kept = _scan_branch((n, k, L, prefix, reduction, True, None, None))
+            kept = _scan_branch((n, k, L, prefix, True, None, None))
             assert kept[0] == nodes and not kept[4]
             assert (count, least) == (len(kept[3]), min(kept[3], default=None)), (L, prefix)
