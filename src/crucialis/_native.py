@@ -122,9 +122,9 @@ def _tables(n: int, k: int, L: int) -> tuple[tuple[int, ...], tuple]:
 
     search._lanes(n) goes as (low, high) 64-bit pairs: unit[0..n],
     bit[0..n], full and fill. search._slot_events(k, L) goes flattened, a row
-    of 12 ints per depth (the enum in _walk.c names them) and the list
-    entries the rows point at: every (b, j) check pair first, so each depth's
-    pairs start at an even offset, then the half and prog entries."""
+    of 12 ints per depth (the enum in _walk.c names them), with the (start,
+    stop) of its half and prog ranges, and the list of the slots b that each
+    depth checks, which the rows point at."""
     from array import array
 
     from .search import _LANE, _lanes, _slot_events
@@ -132,21 +132,15 @@ def _tables(n: int, k: int, L: int) -> tuple[tuple[int, ...], tuple]:
     unit, bit, _, full, fill = _lanes(n)
     mask = (1 << 64) - 1
     lanes = array("Q", (x for v in (*unit, *bit, full, fill) for x in (v & mask, v >> 64)))
-    slots = _slot_events(k, L)
-    pairs = [x for ev, *_ in slots if ev for b, j in ev[2] for x in (b, j)]
-    rest: list[int] = []
+    checked: list[int] = []
     rows: list[int] = []
-    at = 0
-    for ev, cap, doubtful, free, half, prog in slots:
+    for ev, cap, doubtful, free, half, prog in _slot_events(k, L):
         nb, rb, checks = ev or (0, 0, ())
-        rows += (ev is not None, nb, rb, cap, doubtful, free, at, len(checks))
-        at += 2 * len(checks)
-        rows += (len(pairs) + len(rest), len(half))
-        rest += half
-        rows += (len(pairs) + len(rest), len(prog))
-        rest += prog
+        rows += (ev is not None, nb, rb, cap, doubtful, free, len(checked), len(checks))
+        rows += (half.start, half.stop, prog.start, prog.stop)
+        checked += checks
     events = array("i", rows)
-    lists = array("i", pairs + rest or [0])  # never empty, so never NULL
+    lists = array("i", checked or [0])  # never empty, so never NULL
     fixed = (n, k, L, _LANE - 1, *(t.buffer_info()[0] for t in (lanes, events, lists)), len(lists))
     return fixed, (lanes, events, lists)
 

@@ -9,6 +9,11 @@
  * Change both together. The branch split stays in Python. The slot table
  * (search._slot_events) and the lane constants (search._lanes) are built in
  * Python and passed in flattened (see _native.py), so they are defined once.
+ * The table holds each depth's half determined slots and blocks in progress
+ * as the ends of an interval, so it grows as L; it lists only the slots that
+ * each depth checks. S[b] and G[b] hold slot b's state as of its last
+ * finished block, as in _walk: the depth that checks a slot saves them as it
+ * enters and puts them back as the walk leaves it.
  * Like _walk, it scans canonical R only: every search runs that one scan.
  *
  * The packed letter counts are unsigned __int128, 7 lanes of 17 bits, where
@@ -40,11 +45,14 @@ __extension__ typedef unsigned __int128 u128;
 #define TIME_CHECK_MASK 0xFFF /* poll the deadline every 4096 node expansions */
 #define MAX_LETTERS 7
 
-/* One row of the flattened slot table per depth t = 0..L, see _native.py */
-enum { EV, NB, RB, CAP, DOUBTFUL, FREE, CHECKS, NCHECKS, HALF, NHALF, PROG, NPROG, ROW };
+/* One row of the flattened slot table per depth t = 0..L, see _native.py:
+ * the events, cap, doubtful and free of search._slot_events, the offset and
+ * number of the depth's checked slots in the lists, and the [start, stop) of
+ * its half and prog ranges */
+enum { EV, NB, RB, CAP, DOUBTFUL, FREE, CHECKS, NCHECKS, HALF, HALF_END, PROG, PROG_END, ROW };
 
 typedef struct {
-    int a, last, seen, nslot, recount;
+    int a, last, seen, recount, nchecks;
     u128 done, named, d, c, nbase, nceil, rbit, rtarget;
 } Frame;
 
@@ -124,13 +132,14 @@ enum {
  *
  * A_LANES holds unit[0..n], bit[0..n], full and fill as (low, high) 64-bit
  * pairs, and A_TOP is the lane's top bit. A_EVENTS holds ROW ints per depth
- * t = 0..L, and A_LISTS the A_NLISTS (b, j) pairs, half and prog entries
- * they point at. A_NODE_CAP < 0 means no cap, deadline < 0 no deadline.
- * Each leaf is mapped to its W-canonical form and counted, and the least is
- * kept at A_LEAST. With A_KEEP, every word is also kept, in order, in a
- * buffer whose address goes to A_KEPT, which the caller frees with
- * crucialis_free. A_NODES, A_TRIPPED and A_COUNT receive the nodes, whether
- * a budget tripped and the words found.
+ * t = 0..L, and A_LISTS the A_NLISTS checked slots b they point at.
+ * A_NODE_CAP < 0 means no cap, deadline < 0 no deadline. Each leaf is mapped
+ * to its W-canonical form and counted, and the least is kept at A_LEAST.
+ * With A_KEEP, every word is also kept, in the walk's order (unsorted:
+ * search.enumerate_crucial sorts them), in a buffer whose address goes to
+ * A_KEPT, which the caller frees with crucialis_free. A_NODES, A_TRIPPED
+ * and A_COUNT receive the nodes, whether a budget tripped and the words
+ * found.
  *
  * Returns 0, or -1 if memory ran out; then nothing is kept. */
 int crucialis_walk(int64_t *a, double deadline)
@@ -158,18 +167,19 @@ int crucialis_walk(int64_t *a, double deadline)
     u128 full = (u128)tail[1] << 64 | tail[0];
     u128 fill = (u128)tail[3] << 64 | tail[2];
 
-    size_t slots = (size_t)((L + 1) / k + 1) * (size_t)k;
+    size_t slots = (size_t)((L + 1) / k + 1);
     u128 *P = calloc((size_t)L + 1, sizeof *P);
     u128 *G = calloc(slots, sizeof *G);
     int *S = calloc(slots, sizeof *S);
-    /* live[i]: the (target, x) of check i of the lists, as set at its depth */
-    u128 *live_target = calloc((size_t)nlists / 2 + 1, sizeof *live_target);
-    int *live_x = calloc((size_t)nlists / 2 + 1, sizeof *live_x);
+    /* live[i]: the (target, x) of check i of the lists, set at its depth, and the G it found */
+    u128 *live_target = calloc((size_t)nlists, sizeof *live_target);
+    int *live_x = calloc((size_t)nlists, sizeof *live_x);
+    u128 *live_g = calloc((size_t)nlists, sizeof *live_g);
     Frame *F = calloc((size_t)L + 1, sizeof *F);
     uint8_t *word = calloc((size_t)L + 1, 1);
     uint8_t *formed = calloc((size_t)L + 1, 1);
     int status = -1;
-    if (!P || !G || !S || !live_target || !live_x || !F || !word || !formed)
+    if (!P || !G || !S || !live_target || !live_x || !live_g || !F || !word || !formed)
         goto end;
     status = 0;
 
@@ -196,26 +206,27 @@ int crucialis_walk(int64_t *a, double deadline)
             if (nb) {
                 f->nbase = 2 * P[nb - 1];
                 f->nceil = full - P[nb - 1];
-                f->nslot = nb * k + 2;
             }
             if (rb) { /* the slot leaves the future; it completes its letter if block k matches */
-                int rx = S[rb * k + k - 1];
+                int rx = S[rb];
                 named -= unit[rx];
                 f->rbit = bit[rx];
                 f->rtarget = P[t - rb] + P[2 * rb - 1] - P[rb - 1];
             }
             const int32_t *chk = lists + e[CHECKS];
             for (int i = 0; i < e[NCHECKS]; i++) { /* assume the slot dies; a match revives it */
-                int b = chk[2 * i], j = chk[2 * i + 1];
-                int x = S[b * k + j - 1];
+                int b = chk[i];
+                int x = S[b];
                 named -= unit[x];
                 u128 block = P[2 * b - 1] - P[b - 1];
-                live_target[e[CHECKS] / 2 + i] = P[t - b] + block;
-                live_x[e[CHECKS] / 2 + i] = x;
-                G[b * k + j] = P[t - b] + 2 * block + full;
+                live_target[e[CHECKS] + i] = P[t - b] + block;
+                live_x[e[CHECKS] + i] = x;
+                live_g[e[CHECKS] + i] = G[b];
+                G[b] = P[t - b] + 2 * block + full;
             }
         }
         f->named = named;
+        f->nchecks = e[NCHECKS];
         if (m < plen) {
             f->a = f->last = prefix[m];
         } else {
@@ -229,6 +240,13 @@ int crucialis_walk(int64_t *a, double deadline)
             if (f->a > f->last) {
                 if (m == 0)
                     goto walked;
+                if (f->nchecks) { /* the slots checked here get back their state */
+                    int at = events[(size_t)(m + 1) * ROW + CHECKS];
+                    for (int i = at; i < at + f->nchecks; i++) {
+                        S[lists[i]] = live_x[i];
+                        G[lists[i]] = live_g[i];
+                    }
+                }
                 m--;
                 continue;
             }
@@ -258,19 +276,18 @@ int crucialis_walk(int64_t *a, double deadline)
                         d |= f->rbit;
                     if (e[NB]) {
                         int x = letter_of(pa - f->nbase, unit, n);
-                        S[f->nslot] = x;
-                        G[f->nslot] = 2 * pa + f->nceil;
+                        S[e[NB]] = x;
+                        G[e[NB]] = 2 * pa + f->nceil;
                         c += unit[x];
                     }
                     const int32_t *chk = lists + e[CHECKS];
                     for (int i = 0; i < e[NCHECKS]; i++) {
-                        int slot = chk[2 * i] * k + chk[2 * i + 1];
-                        if (pa == live_target[e[CHECKS] / 2 + i]) {
-                            int x = live_x[e[CHECKS] / 2 + i];
-                            S[slot] = x;
+                        if (pa == live_target[e[CHECKS] + i]) {
+                            int x = live_x[e[CHECKS] + i];
+                            S[chk[i]] = x;
                             c += unit[x];
                         } else {
-                            S[slot] = 0;
+                            S[chk[i]] = 0;
                         }
                     }
                 }
@@ -288,16 +305,14 @@ int crucialis_walk(int64_t *a, double deadline)
                  * slot of its own that admits it */
                 int alls = e[FREE];
                 u128 live_c = c;
-                const int32_t *prog = lists + e[PROG];
-                for (int i = 0; i < e[NPROG]; i++) {
-                    int x = S[prog[i]];
-                    if (x && ((G[prog[i]] - pa) & full) != full)
+                for (int b = e[PROG]; b < e[PROG_END]; b++) {
+                    int x = S[b];
+                    if (x && ((G[b] - pa) & full) != full)
                         live_c -= unit[x]; /* its block in progress outgrew block 2: dead */
                 }
                 u128 covered = d | ((live_c + fill) & full);
-                const int32_t *half = lists + e[HALF];
-                for (int i = 0; i < e[NHALF]; i++) {
-                    u128 q = 2 * P[half[i]] + full - pa;
+                for (int h = e[HALF]; h < e[HALF_END]; h++) {
+                    u128 q = 2 * P[h] + full - pa;
                     u128 miss = full ^ (q & full);
                     if (!miss)
                         alls++; /* admits every letter */
@@ -347,6 +362,7 @@ end:
     free(S);
     free(live_target);
     free(live_x);
+    free(live_g);
     free(F);
     free(word);
     free(formed);

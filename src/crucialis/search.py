@@ -288,33 +288,37 @@ def _slot_events(k: int, L: int) -> tuple:
     their block length b, and 0 stands for none. events is None when the
     named counts stay as they are at t, else (named, reached, checks): named
     is the slot determined at t = 2b-1, reached the slot with t = kb-1 (k >= 3;
-    at k = 2 a slot is reached as it is determined), and checks lists the
-    (b, j) whose block j ends at t = jb-1, 3 <= j < k. free counts the slots
-    with b-1 >= t, half lists b-1 for the half determined slots, b-1 < t <
-    2b-1, and prog lists b*k + j for the determined slots whose block j+1 is
-    in progress, jb-1 < t < (j+1)b-1 < kb-1. cap = free + len(half) counts the
-    slots with 2b-1 > t, and doubtful = free - len(prog).
+    at k = 2 a slot is reached as it is determined), and checks lists the b
+    whose block j ends at t = jb-1, 3 <= j < k. free counts the slots with
+    b-1 >= t. half is the range of b-1 over the half determined slots,
+    b-1 < t < 2b-1, and prog the range of b over 2b-1 < t < kb-1, so the
+    table grows as L. cap = free + len(half) counts the slots with
+    2b-1 > t.
+
+    A b of prog that does not divide t+1 has a block in progress: with
+    j = (t+1)//b, jb-1 < t < (j+1)b-1 <= kb-1. The others are the b with
+    jb = t+1, and 2b-1 < t < kb-1 gives 2 < j < k, so they are exactly the
+    checks of depth t, each b with its one j. So doubtful = free - len(prog)
+    + len(checks) is free less the slots with a block in progress. The
+    walkers read every b of prog all the same: a slot checked at t either
+    died there or has a block j equal to block 2 and no block j+1 yet, so
+    reading it kills nothing.
     """
     B = (L + 1) // k
     named = {2 * b - 1: b for b in range(1, B + 1)}
     reached = {k * b - 1: b for b in range(1, B + 1)} if k > 2 else {}
-    checks: dict[int, list[tuple[int, int]]] = {}
+    checks: dict[int, list[int]] = {}
     for b in range(1, B + 1):
         for j in range(3, k):
-            checks.setdefault(j * b - 1, []).append((b, j))
+            checks.setdefault(j * b - 1, []).append(b)
     entries = []
     for t in range(L + 1):
         ev = (named.get(t, 0), reached.get(t, 0), tuple(checks.get(t, ())))
-        half = tuple(b - 1 for b in range(1, B + 1) if b - 1 < t < 2 * b - 1)
-        prog = tuple(
-            b * k + (t + 1) // b
-            for b in range(1, B + 1)
-            if 2 * b - 1 < t < k * b - 1 and (t + 1) % b
-        )
+        half = range((t + 1) // 2, min(t, B))
+        prog = range((t + 1) // k + 1, min(t // 2, B) + 1)
         free = max(0, B - t)
-        entries.append(
-            (ev if any(ev) else None, free + len(half), free - len(prog), free, half, prog)
-        )
+        doubtful = free - len(prog) + len(ev[2])
+        entries.append((ev if any(ev) else None, free + len(half), doubtful, free, half, prog))
     return tuple(entries)
 
 
@@ -338,15 +342,15 @@ def _walk(
 
     Takes _scan_branch's task and returns its record, as _native.scan_branch
     does: the nodes expanded (one per attempted letter append below the
-    prefix), the words found, the least of them, every one in lex order if
-    keep else None, and whether a budget tripped, the words so far counted.
-    Every word of L letters reached is crucial, and is counted in W-canonical
-    form. With stop, 1 <= stop <= L, the walk is the split instead: it stops
-    `stop` letters deep and its words are the R-prefixes that survive there,
-    as they are. The prefix must be one the same scan reaches, as _branches
-    returns them: the walk descends through it one forced letter per depth,
-    and nodes starts at -len(prefix), so only the appends below the prefix
-    count.
+    prefix), the words found, the least of them, every one in the walk's
+    order if keep else None (enumerate_crucial sorts them), and whether a
+    budget tripped, the words so far counted. Every word of L letters
+    reached is crucial, and is counted in W-canonical form. With stop,
+    1 <= stop <= L, the walk is the split instead: it stops `stop` letters
+    deep and its words are the R-prefixes that survive there, as they are.
+    The prefix must be one the same scan reaches, as _branches returns them:
+    the walk descends through it one forced letter per depth, and nodes
+    starts at -len(prefix), so only the appends below the prefix count.
 
     The walk is one loop that keeps one frame per depth of its path, as
     _walk.c does, and no Python call per depth, so a scan thousands of
@@ -356,10 +360,13 @@ def _walk(
 
     Along the path, done marks the completed letters and named counts, lane
     by lane, the determined future slots that name each letter and whose
-    finished blocks match; a slot's letter is kept in S[b*k + j] once it has
-    passed block j, and G[b*k + j] holds block 2 plus P[jb-1] plus full, the
-    most block j+1 may reach. The bit of letter x sits at the top of its
-    lane, so (named + fill) & full marks the letters named at least once.
+    finished blocks match. Once slot b has passed block j >= 2, S[b] keeps
+    its letter, or 0 if it names none or a block differs from block 2, and
+    G[b] holds block 2 plus P[jb-1] plus full, the most block j+1 may
+    reach. The depth jb-1 that checks block j, j >= 3, saves both as it
+    enters and puts them back as the walk leaves it, so they hold the path's
+    values at every depth. The bit of letter x sits at the top of its lane,
+    so (named + fill) & full marks the letters named at least once.
     """
     words: list[tuple[int, ...]] | None = [] if keep else None
     if n > (L + 1) // k:
@@ -372,7 +379,7 @@ def _walk(
     stop = stop or L
     forced = [(a,) for a in prefix] + [()] * (stop - len(prefix))
     P = [0] * (L + 1)
-    S = [0] * (((L + 1) // k + 1) * k)
+    S = [0] * ((L + 1) // k + 1)
     G = [0] * len(S)
     word = [0] * stop
     frames: list[tuple] = [()] * stop
@@ -381,8 +388,8 @@ def _walk(
     nodes = -len(prefix)
     m = seen = done = named = 0
     # every frame saves these; only the depths that set them read them
-    nbase = nceil = nslot = rbit = rtarget = 0
-    live: list[tuple[int, int, int]] = []
+    nbase = nceil = rbit = rtarget = 0
+    live: list[tuple[int, int, int, int]] = []
     letters = None  # the letters depth m has left to try; None as the walk enters it
 
     while True:
@@ -398,19 +405,18 @@ def _walk(
                 if nb:
                     nbase = 2 * P[nb - 1]
                     nceil = full - P[nb - 1]
-                    nslot = nb * k + 2
                 if rb:  # the slot leaves the future; it completes its letter if block k matches
-                    rx = S[rb * k + k - 1]
+                    rx = S[rb]
                     named -= unit[rx]
                     rbit = bit[rx]
                     rtarget = P[t - rb] + P[2 * rb - 1] - P[rb - 1]
                 live = []
-                for b, j in checks:  # assume the slot dies; a match revives it
-                    x = S[b * k + j - 1]
+                for b in checks:  # assume the slot dies; a match revives it
+                    x = S[b]
                     named -= unit[x]
                     block = P[2 * b - 1] - P[b - 1]
-                    live.append((P[t - b] + block, x, b * k + j))
-                    G[b * k + j] = P[t - b] + 2 * block + full
+                    live.append((P[t - b] + block, x, b, G[b]))
+                    G[b] = P[t - b] + 2 * block + full
             letters = iter(forced[m] or choices[seen])
         pm = P[m]
         blocks = range(1, t // k + 1)
@@ -431,15 +437,15 @@ def _walk(
                         d |= rbit
                     if nb:
                         x = letter_of.get(pa - nbase, 0)
-                        S[nslot] = x
-                        G[nslot] = 2 * pa + nceil
+                        S[nb] = x
+                        G[nb] = 2 * pa + nceil
                         c += unit[x]
-                    for target, x, i in live:
+                    for target, x, b, _ in live:
                         if pa == target:
-                            S[i] = x
+                            S[b] = x
                             c += unit[x]
                         else:
-                            S[i] = 0
+                            S[b] = 0
                 unnamed = (full ^ (d | (c + fill) & full)).bit_count()
                 if unnamed > cap:
                     continue  # too few slots left, even if each undetermined one is free
@@ -448,9 +454,9 @@ def _walk(
                 # the matching count of (c): each letter still open needs a
                 # slot of its own that admits it
                 alls, live_c = free, c
-                for i in prog:
-                    x = S[i]
-                    if x and (G[i] - pa) & full != full:
+                for b in prog:
+                    x = S[b]
+                    if x and (G[b] - pa) & full != full:
                         live_c -= unit[x]  # its block in progress outgrew block 2: dead
                 covered = d | (live_c + fill) & full
                 for h in half:
@@ -473,14 +479,17 @@ def _walk(
                 if keep:
                     words.append(w)
                 continue
-            frames[m] = (letters, seen, done, named, d, c, recount, nbase, nceil, nslot, rbit, rtarget, live)
+            frames[m] = (letters, seen, done, named, d, c, recount, nbase, nceil, rbit, rtarget, live)
             m, seen, done, named, letters = t, max(seen, a), d, c, None
             break
         else:
             if m == 0:
                 return nodes, count, least, words, False
+            if ev is not None:
+                for _, x, b, g in live:  # the slots checked here get back their state
+                    S[b], G[b] = x, g
             m -= 1
-            letters, seen, done, named, d, c, recount, nbase, nceil, nslot, rbit, rtarget, live = frames[m]
+            letters, seen, done, named, d, c, recount, nbase, nceil, rbit, rtarget, live = frames[m]
 
 
 def _w_canonical(r: list[int]) -> tuple[int, ...]:

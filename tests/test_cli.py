@@ -1,9 +1,14 @@
 """Command-line interface: verdict lines, exit codes, tables, environment."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crucialis
 from crucialis import cli, powers
 from crucialis.cli import run
 from crucialis.constructions import bounds, construct_D, construct_family, FamilyId
@@ -323,6 +328,37 @@ class TestSearch:
         )
         assert code == 3
         assert out == "RESULT: crucial_words_found=0 exhaustive=false\n"
+
+    @pytest.mark.parametrize(
+        "k,length,budget", [(2, 8001, 10), (3, 8000, 100_000)], ids=["k2_split", "k3_scan"]
+    )
+    def test_long_scan_memory_stays_small(self, k, length, budget):
+        # the slot table once listed every slot of every depth, L^2 entries:
+        # 323 MB before the first node at k = 2, 427 MB at k = 3. The second
+        # call scans below the split. The peak is the child's VmHWM:
+        # ru_maxrss would carry the forked test runner's size over exec.
+        if not Path("/proc/self/status").exists():
+            pytest.skip("peak RSS is read from /proc/self/status")
+        script = (
+            "import sys\n"
+            "from crucialis import cli\n"
+            "code = cli.run(sys.argv[1:])\n"
+            "hwm = [s for s in open('/proc/self/status') if s.startswith('VmHWM:')]\n"
+            "print(code, hwm[0].split()[1], file=sys.stderr)\n"
+        )
+        argv = [
+            "search", "--n", "3", "--k", str(k), "--mode", "enumerate",
+            "--length", str(length), "--node-budget", str(budget),
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(crucialis.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env,
+            timeout=120,
+        )
+        assert proc.stdout == "RESULT: crucial_words_found=0 exhaustive=false\n", proc.stderr
+        code, peak_kib = proc.stderr.split()
+        assert code == "3"
+        assert int(peak_kib) < 100 * 1024
 
     def test_enumerate_requires_length(self):
         code, _, err = invoke(["search", "--n", "2", "--k", "3", "--mode", "enumerate"])

@@ -24,6 +24,7 @@ from crucialis.search import (
     VerifyNoneBelow,
     _branches,
     _scan_branch,
+    _walk,
     enumerate_crucial,
     search_minimal,
     verify_none_below,
@@ -158,10 +159,15 @@ def test_words_that_cannot_be_kept_raise(monkeypatch):
 
 
 def test_walkers_agree_thousands_of_letters_deep():
-    # a scan that deep once overran the Python walk's recursion limit
-    task = (4, 2, 2001, (), True, 20_000, None)
-    native, python = both(lambda: _scan_branch(task))
-    assert native == python and native[0] == 20_001 and native[4]
+    # a scan that deep once overran the Python walk's recursion limit. At
+    # k >= 3 the cut reads blocks in progress too, which k = 2 has none of.
+    # The split to depth 1000 walks the scan's first nodes and reaches its
+    # first prefix at node `deep`, so each capped scan runs below depth 1000.
+    for n, k, L, deep in ((4, 2, 2001, 14_558), (3, 3, 3002, 1938), (3, 5, 3004, 1296)):
+        task = (n, k, L, (), True, 20_000, None)
+        native, python = both(lambda: _scan_branch(task))
+        assert native == python and native[0] == 20_001 and native[4], (n, k, L)
+        assert _walk(n, k, L, (), False, deep, None, stop=1000)[1] == 1, (n, k, L)
 
 
 def run(cfg: SearchConfig):
