@@ -3,6 +3,9 @@
 _walk.c is a second copy of search._walk for n <= 7 letters, checked against
 it node for node by tests/test_native_walk.py. It runs one walk, the branch
 scan: scan_branch(task) returns the record that search._walk(*task) does.
+ctypes releases the GIL for the whole call, so the search's pool threads
+scan their branches in parallel, and each polls the search's deadline cell,
+which another thread moves to stop it.
 The source is read as this module is imported, so the code built is the
 code this module's argument layout was written for, even if _walk.c changes
 on disk later. It is built on the first scan that can use it, never at
@@ -19,6 +22,7 @@ equal results.
 from __future__ import annotations
 
 import os
+import threading
 from functools import lru_cache
 from pathlib import Path
 
@@ -31,6 +35,7 @@ _FLAGS = ("-std=c11", "-O3", "-fPIC", "-shared")
 _BUILD_TIMEOUT_S = 120.0
 _MAX_LETTERS = 7  # the lanes of 7 letters fill 119 of the 128 bits
 _NODES_MAX = (1 << 63) - 1  # a node cap at least this never trips, and a larger one fits no slot
+_BUILD_LOCK = threading.Lock()
 
 
 def _cache_dir() -> Path:
@@ -85,8 +90,9 @@ def _library():
     """The built library, or None if it cannot be had.
 
     ctypes is imported here, on the first walk, so importing crucialis loads
-    neither it nor a compiler. A forked pool worker inherits the loaded
-    library.
+    neither it nor a compiler. lru_cache lets two threads that make their
+    first scan at once both call this; the lock makes the second wait for
+    the first's build, then find the built file and only load it.
     """
     import ctypes
 
@@ -103,15 +109,16 @@ def _library():
     try:
         digest = sha256(_CODE + "\0".join(_FLAGS).encode()).hexdigest()
         path = _cache_dir() / f"walk-{digest[:32]}.so"
-        if not path.exists() and not _build(path):
-            return None
-        lib = ctypes.CDLL(str(path))
+        with _BUILD_LOCK:
+            if not path.exists() and not _build(path):
+                return None
+            lib = ctypes.CDLL(str(path))
     except OSError:
         return None
     lib.crucialis_free.restype = None
     lib.crucialis_free.argtypes = [ctypes.c_void_p]
     lib.crucialis_walk.restype = ctypes.c_int
-    lib.crucialis_walk.argtypes = [ctypes.c_void_p, ctypes.c_double]
+    lib.crucialis_walk.argtypes = [ctypes.c_void_p]
     return lib
 
 
@@ -152,7 +159,9 @@ def scan_branch(task: tuple) -> tuple | None:
     search._walk must.
 
     Buffers go to C as array.array addresses, alive for the call: a ctypes
-    array of a new size would create a ctypes type, cyclic garbage."""
+    array of a new size would create a ctypes type, cyclic garbage. The
+    deadline cell goes the same way, as A_DEADLINE (0 for none), so C reads
+    the value the search writes into it while the scan runs."""
     n, k, L, prefix, keep, node_cap, deadline = task
     if n > _MAX_LETTERS:
         return None
@@ -168,9 +177,10 @@ def scan_branch(task: tuple) -> tuple | None:
     a.extend((  # the slots A_PREFIX..A_KEPT
         letters.buffer_info()[0], len(prefix),
         -1 if node_cap is None else min(node_cap, _NODES_MAX),
-        keep, least.buffer_info()[0], 0, 0, 0, 0,
+        keep, least.buffer_info()[0], 0 if deadline is None else deadline.buffer_info()[0],
+        0, 0, 0, 0,
     ))
-    if lib.crucialis_walk(a.buffer_info()[0], -1.0 if deadline is None else deadline):
+    if lib.crucialis_walk(a.buffer_info()[0]):
         raise MemoryError("the compiled walker ran out of memory")
     nodes, tripped, count, kept = a[-4:]
     words = [] if keep else None

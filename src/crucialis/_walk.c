@@ -30,8 +30,11 @@
  *     and below 2^119;
  *   - OR of lane top bits, which are nonnegative and below 2^119.
  *
- * The scan has no way to see Ctrl-C while it runs: Python raises
- * KeyboardInterrupt once the call returns, at the end of the branch.
+ * The scan has no way to see Ctrl-C while it runs. A sequential search
+ * raises KeyboardInterrupt once the call returns, at the end of the branch.
+ * A parallel search runs each scan on a thread of its pool, with the GIL
+ * released (ctypes does that for the call); its main thread sees Ctrl-C at
+ * once and stops the scans by moving the deadline they poll (A_DEADLINE).
  */
 #define _POSIX_C_SOURCE 200809L
 
@@ -67,11 +70,14 @@ static int popcount(u128 v)
     return __builtin_popcountll((uint64_t)v) + __builtin_popcountll((uint64_t)(v >> 64));
 }
 
-static double now(void)
+/* Whether the clock has passed the deadline, which another thread may move */
+static int past(const double *deadline)
 {
     struct timespec ts;
+    double end;
     clock_gettime(CLOCK_MONOTONIC, &ts);
-    return (double)ts.tv_sec + (double)ts.tv_nsec * 1e-9;
+    __atomic_load(deadline, &end, __ATOMIC_RELAXED);
+    return (double)ts.tv_sec + (double)ts.tv_nsec * 1e-9 > end;
 }
 
 /* The letter whose unit vector v is, or 0 */
@@ -118,10 +124,14 @@ void crucialis_free(void *kept)
 }
 
 /* The slots of the one argument of crucialis_walk, 64 bits each. The
- * caller fills those before A_NODES; the walk writes the rest. */
+ * caller fills those before A_NODES; the walk writes the rest. A_DEADLINE is
+ * the address of the search's deadline, one double of CLOCK_MONOTONIC
+ * seconds, or 0 for none. Another thread writes it to stop the walk, so
+ * the walk reads it with an atomic load; relaxed order is enough, as the
+ * value orders no other memory. */
 enum {
     A_N, A_K, A_L, A_TOP, A_LANES, A_EVENTS, A_LISTS, A_NLISTS, /* fixed by (n, k, L) */
-    A_PREFIX, A_PLEN, A_NODE_CAP, A_KEEP, A_LEAST,
+    A_PREFIX, A_PLEN, A_NODE_CAP, A_KEEP, A_LEAST, A_DEADLINE,
     A_NODES, A_TRIPPED, A_COUNT, A_KEPT
 };
 
@@ -133,7 +143,8 @@ enum {
  * A_LANES holds unit[0..n], bit[0..n], full and fill as (low, high) 64-bit
  * pairs, and A_TOP is the lane's top bit. A_EVENTS holds ROW ints per depth
  * t = 0..L, and A_LISTS the A_NLISTS checked slots b they point at.
- * A_NODE_CAP < 0 means no cap, deadline < 0 no deadline. Each leaf is mapped
+ * A_NODE_CAP < 0 means no cap. The walk trips once the clock passes the
+ * deadline at A_DEADLINE, polled every 4096 nodes. Each leaf is mapped
  * to its W-canonical form and counted, and the least is kept at A_LEAST.
  * With A_KEEP, every word is also kept, in the walk's order (unsorted:
  * search.enumerate_crucial sorts them), in a buffer whose address goes to
@@ -142,7 +153,7 @@ enum {
  * found.
  *
  * Returns 0, or -1 if memory ran out; then nothing is kept. */
-int crucialis_walk(int64_t *a, double deadline)
+int crucialis_walk(int64_t *a)
 {
     int n = (int)a[A_N], k = (int)a[A_K], L = (int)a[A_L], top = (int)a[A_TOP];
     const uint64_t *lanes = ADDRESS(const uint64_t *, A_LANES);
@@ -153,6 +164,7 @@ int crucialis_walk(int64_t *a, double deadline)
     int plen = (int)a[A_PLEN], keep = (int)a[A_KEEP];
     int64_t node_cap = a[A_NODE_CAP];
     uint8_t *least = ADDRESS(uint8_t *, A_LEAST);
+    const double *deadline = ADDRESS(const double *, A_DEADLINE);
 
     a[A_NODES] = a[A_TRIPPED] = a[A_COUNT] = a[A_KEPT] = 0;
     if (n > (L + 1) / k)
@@ -254,11 +266,8 @@ int crucialis_walk(int64_t *a, double deadline)
             t = m + 1;
             e = events + (size_t)t * ROW;
             nodes++;
-            if (node_cap >= 0 && nodes > node_cap) {
-                tripped = 1;
-                goto walked;
-            }
-            if (deadline >= 0 && (nodes & TIME_CHECK_MASK) == 0 && now() > deadline) {
+            if ((node_cap >= 0 && nodes > node_cap) ||
+                ((nodes & TIME_CHECK_MASK) == 0 && deadline && past(deadline))) {
                 tripped = 1;
                 goto walked;
             }

@@ -106,13 +106,20 @@ keeps every hit and sorts them.
 The tree is split at a fixed shallow depth into branches, prefixes of R.
 A branch walk descends through its prefix with the same DFS, one forced
 letter per depth, and counts only the appends below it. Branches are
-scanned in lexicographic order, sequentially or on a process pool that is
+scanned in lexicographic order, sequentially or on a thread pool that is
 started on first use and serves every length of one search call. Results
 are consumed in branch order, so parallel runs return results equal to
-sequential ones, node counts included. When the search stops early, the
-workers still running are killed rather than waited for. A worker that dies
-(say, OOM-killed), busy or idle, breaks the pool, and the search raises
-CrucialisError at once.
+sequential ones, node counts included. Every scan polls the search's one
+deadline cell, the end of its time budget or +inf, every 4096 nodes. When
+the search stops early, on a budget, an error or Ctrl-C, it sets the cell to
+-inf, so each scan still running returns at its next poll and no pool
+thread outlives the search. An error raised in a pool scan, such as the
+compiled walker's MemoryError, is raised by the search as it consumes that
+branch, as in a sequential scan. The compiled walker releases the GIL for a
+whole branch, so its scans run in parallel. _walk holds the GIL, so with
+workers > 1 its scans share one core, with the same results. Pool scans
+run in the search's own process, so one that runs out of memory hits the
+search itself, as a sequential scan does.
 
 Node budgets are enforced deterministically: each branch runs under the
 budget left as a hard cap, and results stop being consumed once the running
@@ -158,8 +165,10 @@ code has left the CPU's caches.
 Results, node counts, enumerated words and checkpoint files are the same on
 either walker. The header of _walk.c shows why its 128-bit arithmetic,
 which wraps around, gives the values of Python's unbounded ints for n <= 7
-and L <= 65,535. A compiled branch scan cannot see Ctrl-C: the interrupt is
-raised when the scan returns.
+and L <= 65,535. A compiled branch scan cannot see Ctrl-C. A sequential
+search raises the interrupt when the scan returns. A parallel one waits on
+its pool in the main thread, raises it there at once, and stops the pool's
+scans by moving the deadline.
 """
 
 from __future__ import annotations
@@ -168,6 +177,7 @@ import fcntl
 import math
 import os
 import time
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
@@ -176,7 +186,7 @@ from typing import Iterator, Union
 
 from . import _native
 from .constructions import bounds
-from .errors import BudgetExhaustedError, CrucialisError, DomainError
+from .errors import BudgetExhaustedError, DomainError
 from .powers import _require_exponent, _suffix_power_from_prefixes
 from .words import _SHIFT, Word, _check, _word_of
 
@@ -214,6 +224,22 @@ def _require_length(length: int) -> None:
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """What a search scans and what it may spend.
+
+    n is the alphabet size and k the exponent of the abelian powers avoided.
+    target_mode picks the search: the minimal crucial length, every crucial
+    word of one length, or a certificate that none is shorter than a length.
+    symmetry_reduction=False reports every renaming of the canonical words
+    the scan finds (counts times n!), not only the canonical ones.
+    node_budget caps the node appends of the whole search, deterministically.
+    time_budget caps its wall-clock seconds. workers > 1 scans the branches
+    of a length on that many threads, with results equal to a sequential
+    scan's. Only the compiled walker runs them in parallel: _walk holds the
+    GIL, so on it more workers gain nothing. checkpoint_path names a file
+    that records each scanned branch, so an interrupted find or verify run
+    resumes where it stopped.
+    """
+
     n: int
     k: int
     target_mode: TargetMode = field(default_factory=FindMinimalCrucial)
@@ -335,7 +361,7 @@ def _walk(
     prefix: tuple[int, ...],
     keep: bool,
     node_cap: int | None,
-    deadline: float | None,
+    deadline: array | None,
     stop: int | None = None,
 ) -> tuple[int, int, tuple[int, ...] | None, list | None, bool]:
     """Depth-first scan of free canonical R-words of length L that extend `prefix`.
@@ -344,7 +370,10 @@ def _walk(
     does: the nodes expanded (one per attempted letter append below the
     prefix), the words found, the least of them, every one in the walk's
     order if keep else None (enumerate_crucial sorts them), and whether a
-    budget tripped, the words so far counted. Every word of L letters
+    budget tripped, the words so far counted. deadline is None or the
+    search's one-slot array("d"), polled every 4096 nodes: the walk trips
+    once time.monotonic() passes deadline[0], and the search sets it to
+    -inf to stop the scans on its pool. Every word of L letters
     reached is crucial, and is counted in W-canonical form. With stop,
     1 <= stop <= L, the walk is the split instead: it stops `stop` letters
     deep and its words are the R-prefixes that survive there, as they are.
@@ -424,8 +453,8 @@ def _walk(
             nodes += 1
             if node_cap is not None and nodes > node_cap:
                 return nodes, count, least, words, True
-            if deadline is not None and nodes & _TIME_CHECK_MASK == 0:
-                if time.monotonic() > deadline:
+            if not nodes & _TIME_CHECK_MASK and deadline is not None:
+                if time.monotonic() > deadline[0]:
                     return nodes, count, least, words, True
             P[t] = pa = pm + unit[a]
             if ev is not None:
@@ -516,8 +545,9 @@ def _branches(
 def _scan_branch(task: tuple) -> tuple[int, int, tuple[int, ...] | None, list | None, bool]:
     """Depth-first scan below one branch prefix of R.
 
-    task = (n, k, L, prefix, keep, node_cap, deadline). Returns the
-    branch's checkpoint record (nodes expanded below the prefix, crucial
+    task = (n, k, L, prefix, keep, node_cap, deadline), where deadline is
+    the search's deadline cell (see _walk). Returns the branch's checkpoint
+    record (nodes expanded below the prefix, crucial
     words found, the least of them in W form), the words in W form if keep
     else None, and whether a budget tripped mid-branch. The compiled walker
     scans it when it can, else _walk.
@@ -627,34 +657,33 @@ class _Checkpoint:
 
 
 class _Workers:
-    """The process pool of one search call, started on first use."""
+    """The thread pool of one search call, started on first use.
 
-    def __init__(self, size: int):
+    Each task is one _scan_branch call. The compiled walker releases the GIL
+    for the whole branch (ctypes does for every call), so its scans run in
+    parallel; _walk holds the GIL, so its scans share one core. Tasks submit
+    the module-level _scan_branch as it is when submitted, so a patch of it
+    sees the pool's scans too. Both walkers poll the search's deadline cell,
+    so close() stops the scans still running by moving the deadline.
+    """
+
+    def __init__(self, size: int, deadline: array):
         self.size = size
+        self.deadline = deadline
         self.pool = None
 
     def imap(self, tasks: list[tuple]) -> Iterator:
         # imported here, so a search without a pool (and the CLI) never loads it
-        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        def result(future) -> tuple:
-            try:
-                return future.result()
-            except BrokenProcessPool:  # a worker died, busy or idle
-                raise CrucialisError("a search worker died; its branch is lost") from None
+        from concurrent.futures.thread import ThreadPoolExecutor
 
         if self.pool is None:
-            # fork keeps workers independent of how the parent was launched
-            self.pool = ProcessPoolExecutor(self.size, get_context("fork"))
-        return map(result, [self.pool.submit(_scan_branch, task) for task in tasks])
+            self.pool = ThreadPoolExecutor(self.size)
+        return (f.result() for f in [self.pool.submit(_scan_branch, task) for task in tasks])
 
     def close(self) -> None:
-        """Stop the workers, including any still scanning discarded branches."""
+        """Stop the threads, including any still scanning discarded branches."""
         if self.pool is not None:
-            # no public call stops a running worker before Python 3.14's kill_workers()
-            for process in self.pool._processes.values():
-                process.kill()
+            self.deadline[0] = -math.inf  # each running scan returns at its next poll
             self.pool.shutdown(cancel_futures=True)
             self.pool = None
 
@@ -702,7 +731,7 @@ def _scan_length(
     L: int,
     state: _ScanState,
     ckpt: _Checkpoint | None,
-    deadline: float | None,
+    deadline: array,
     workers: _Workers,
 ) -> None:
     """Scan all branches at target length L, updating state in branch order.
@@ -743,7 +772,7 @@ def _scan_length(
         if ckpt and rec is None:
             ckpt.record(L, prefix, nodes, count, least)
         state.add(count, least, words or ())
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > deadline[0]:
             state.tripped = True
             return
 
@@ -754,16 +783,16 @@ def _search(
     """Scan the lengths upward; the first one with hits is minimal. The driver
     of every mode: only it starts a pool or opens a checkpoint."""
     ckpt = _Checkpoint(cfg.checkpoint_path, cfg) if cfg.checkpoint_path is not None else None
-    deadline = time.monotonic() + cfg.time_budget if cfg.time_budget is not None else None
+    # one cell that every scan polls, so moving it stops them all
+    deadline = array("d", [time.monotonic() + cfg.time_budget if cfg.time_budget else math.inf])
     state = _ScanState(words)
-    workers = _Workers(cfg.workers)
+    workers = _Workers(cfg.workers, deadline)
     try:
         for L in lengths:
             _scan_length(cfg, L, state, ckpt, deadline, workers)
             if state.count or state.tripped:
                 break
     finally:
-        # forked workers share the locked file, so they go first
         workers.close()
         if ckpt is not None:
             ckpt.close()

@@ -1,7 +1,8 @@
 """Checks that hold for every test."""
 
-import multiprocessing
 import os
+import threading
+import time
 
 import pytest
 
@@ -20,11 +21,13 @@ def walker_cache(tmp_path_factory):
 
 
 @pytest.fixture(autouse=True)
-def no_worker_left_running():
-    """Fail a test after which a worker process is still running; stop it first."""
+def no_thread_left_running():
+    """Fail a test after which a thread it started is still alive, such as a
+    search's pool thread, once each has had a short while to end."""
+    before = set(threading.enumerate())
     yield
-    left = multiprocessing.active_children()
-    for process in left:
-        process.kill()
-        process.join()
-    assert not left, f"worker processes left running: {[p.pid for p in left]}"
+    end = time.monotonic() + 2.0
+    for thread in set(threading.enumerate()) - before:
+        thread.join(max(0.0, end - time.monotonic()))
+    left = [t.name for t in set(threading.enumerate()) - before]
+    assert not left, f"threads left running: {left}"

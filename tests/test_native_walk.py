@@ -12,6 +12,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -206,7 +207,14 @@ def test_checkpoints_are_byte_identical(cfg, tmp_path):
     ],
 )
 def test_pool_equals_sequential(cfg):
-    assert run(replace(cfg, workers=2)) == run(cfg)
+    # more threads than cores, switching threads as often as the interpreter allows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = both(lambda: run(replace(cfg, workers=8)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled == both(lambda: run(cfg))
 
 
 def test_failed_build_falls_back_to_python(monkeypatch, tmp_path):
@@ -235,6 +243,37 @@ def test_the_build_compiles_the_source_read_at_import(monkeypatch, tmp_path):
         assert len(list((tmp_path / "cache" / "crucialis").iterdir())) == 1
     finally:
         _native._library.cache_clear()
+
+
+def test_two_threads_build_once(monkeypatch, tmp_path):
+    # two pool threads can make their first scan at once, on a cold cache
+    build, builds = _native._build, []
+
+    def counted_build(out):
+        builds.append(out)
+        return build(out)
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_native, "_build", counted_build)
+    _native._library.cache_clear()
+    start = threading.Barrier(2)
+    libs = []
+
+    def first_scan():
+        start.wait()
+        libs.append(_native._library())
+
+    threads = [threading.Thread(target=first_scan) for _ in range(2)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        _native._library.cache_clear()
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(builds) == 1
+    assert len(libs) == 2 and None not in libs
 
 
 def test_a_missing_source_falls_back_to_python(tmp_path):

@@ -2,9 +2,9 @@
 
 import gc
 import os
-import signal
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import crucialis
+from crucialis import search
 from crucialis.cruciality import is_crucial
 from crucialis.errors import BudgetExhaustedError, DomainError
 from crucialis.search import (
@@ -135,22 +136,12 @@ class TestDeterminism:
         assert par == seq
 
     def test_parallel_budget_trip_stops_running_workers(self, tmp_path):
-        # At (5,4) and length 51, the branch (1,2,2,2) takes 50.9 M nodes,
-        # 2 to 3 s on the compiled walker, and (1,2,3,4) 1.30 G nodes, 45 to
-        # 60 s. Record every branch up to length 51 as scanned and empty but
-        # those two, and (1,2,2,3), which comes between them, with a node
-        # count over the budget. The workers=2 run scans the two at once. It
-        # trips on consuming (1,2,2,3) once (1,2,2,2) is done, while the
-        # other worker still scans (1,2,3,4) under a cap over its size: the
-        # search must kill that worker, not wait for it.
+        # The workers=2 run scans (1,2,2,2) and (1,2,3,4) of _record_54 at
+        # once. It trips on consuming (1,2,2,3) once (1,2,2,2) is done, while
+        # the other thread still scans (1,2,3,4) under a cap over its size:
+        # the search must stop that scan, not wait for it.
         path = tmp_path / "scan.ckpt"
-        ckpt = _Checkpoint(path, SearchConfig(n=5, k=4))
-        for L in range(3, 52, 4):
-            for prefix in _branches(5, 4, L)[0]:
-                if L < 51 or prefix not in ((1, 2, 2, 2), (1, 2, 3, 4)):
-                    over = L == 51 and prefix == (1, 2, 2, 3)
-                    ckpt.record(L, prefix, 10**10 + 1 if over else 1, 0, None)
-        ckpt.close()  # releases the lock for the search below
+        _record_54(path)
         script = (
             "import sys\n"
             "from crucialis.search import SearchConfig, search_minimal\n"
@@ -169,130 +160,49 @@ class TestDeterminism:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "None", str(10**10 + 1)]
 
-
-    def test_dead_worker_fails_the_search(self, tmp_path):
-        # A pool never delivers the branch of a worker that died. SIGKILL a
-        # worker while it scans the length-39 branch (1,1,1,1) of (3,5), of
-        # 420.8 M nodes: the search must raise, stop every worker and free its
-        # checkpoint for the next search.
-        script = (
-            "import multiprocessing, os, signal, sys, threading, time\n"
-            "from crucialis.errors import CrucialisError\n"
-            "from crucialis.search import SearchConfig, VerifyNoneBelow, verify_none_below\n"
-            "def busy(pid):\n"
-            "    try:\n"
-            "        with open(f'/proc/{pid}/stat') as fh:\n"
-            "            return fh.read().rpartition(')')[2].split()[0] == 'R'\n"
-            "    except OSError:\n"
-            "        return True\n"
-            "killed = []\n"
-            "def kill_one():\n"
-            "    while len(multiprocessing.active_children()) < 2:\n"
-            "        time.sleep(0.01)\n"
-            "    time.sleep(0.4)\n"
-            "    while not killed:\n"
-            "        for p in multiprocessing.active_children():\n"
-            "            if busy(p.pid):\n"
-            "                os.kill(p.pid, signal.SIGKILL)\n"
-            "                killed.append((p.pid, time.monotonic()))\n"
-            "                break\n"
-            "        time.sleep(0.01)\n"
-            "def cfg(limit, workers):\n"
-            "    return SearchConfig(n=3, k=5, target_mode=VerifyNoneBelow(limit),\n"
-            "        workers=workers, checkpoint_path=sys.argv[1])\n"
-            "threading.Thread(target=kill_one, daemon=True).start()\n"
-            "try:\n"
-            "    verify_none_below(cfg(40, 2))\n"
-            "    print('finished')\n"
-            "except CrucialisError:\n"
-            "    pid, at = killed[0]\n"
-            "    print('raised', time.monotonic() - at, len(multiprocessing.active_children()))\n"
-            "    try:\n"
-            "        os.kill(pid, 0)\n"
-            "    except ProcessLookupError:\n"
-            "        print('reaped')\n"
-            "    print(verify_none_below(cfg(20, 1)).exhaustive)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(crucialis.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "scan.ckpt")],
-            capture_output=True, text=True, env=env, timeout=30,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outcome, *rest = proc.stdout.split()
-        assert outcome == "raised", proc.stdout
-        assert float(rest[0]) < 10.0
-        assert rest[1:] == ["0", "reaped", "True"]
-
-    def test_idle_dead_worker_fails_the_search(self, tmp_path):
-        # An idle worker waits on the pool's task queue. Leave two length-39
-        # branches of (3,5) unscanned, of 420,834,773 and 55,095 nodes, and
-        # SIGKILL the worker that sleeps while the other scans: the search
-        # must raise, stop every worker and free its checkpoint for the next
-        # search.
+    def test_error_on_the_pool_stops_running_workers(self, tmp_path, monkeypatch):
+        # The (1,2,2,2) task of _record_54 raises MemoryError, as
+        # _native.scan_branch does when C runs out of memory, while the other
+        # thread is inside (1,2,3,4). The search must raise it at once and
+        # stop that scan, not wait most of a minute for it.
         path = tmp_path / "scan.ckpt"
-        ckpt = _Checkpoint(path, SearchConfig(n=3, k=5))
-        for L in range(4, 40, 5):
-            for prefix in _branches(3, 5, L)[0]:
-                if L < 39 or prefix not in ((1, 1, 1, 1), (1, 2, 3, 3)):
-                    ckpt.record(L, prefix, 1, 0, None)
-        ckpt.close()  # releases the lock for the search below
-        script = (
-            "import multiprocessing, os, signal, sys, threading, time\n"
-            "from crucialis.errors import CrucialisError\n"
-            "from crucialis.search import SearchConfig, VerifyNoneBelow, verify_none_below\n"
-            "def state(pid):\n"
-            "    try:\n"
-            "        with open(f'/proc/{pid}/stat') as fh:\n"
-            "            return fh.read().rpartition(')')[2].split()[0]\n"
-            "    except OSError:\n"
-            "        return None\n"
-            "killed = []\n"
-            "def kill_idle():\n"
-            "    while len(multiprocessing.active_children()) < 2:\n"
-            "        time.sleep(0.01)\n"
-            "    time.sleep(0.2)\n"
-            "    while not killed:\n"
-            "        states = {p.pid: state(p.pid) for p in multiprocessing.active_children()}\n"
-            "        if sorted(states.values()) == ['R', 'S']:\n"
-            "            idle = next(pid for pid, s in states.items() if s == 'S')\n"
-            "            os.kill(idle, signal.SIGKILL)\n"
-            "            killed.append((idle, time.monotonic()))\n"
-            "        time.sleep(0.01)\n"
-            "def cfg(limit, workers):\n"
-            "    return SearchConfig(n=3, k=5, target_mode=VerifyNoneBelow(limit),\n"
-            "        workers=workers, checkpoint_path=sys.argv[1])\n"
-            "threading.Thread(target=kill_idle, daemon=True).start()\n"
-            "try:\n"
-            "    verify_none_below(cfg(40, 2))\n"
-            "    print('finished')\n"
-            "except CrucialisError:\n"
-            "    pid, at = killed[0]\n"
-            "    print('raised', time.monotonic() - at, len(multiprocessing.active_children()))\n"
-            "    try:\n"
-            "        os.kill(pid, 0)\n"
-            "    except ProcessLookupError:\n"
-            "        print('reaped')\n"
-            "    print(verify_none_below(cfg(24, 1)).exhaustive)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(crucialis.__file__).parents[1]))
-        proc = subprocess.Popen(
-            [sys.executable, "-c", script, str(path)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-            start_new_session=True,
-        )
-        try:
-            out, err = proc.communicate(timeout=30)
-        except subprocess.TimeoutExpired:
-            # a hung search keeps its workers; the session holds them all
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.communicate()
-            pytest.fail("the search hung after its idle worker died")
-        assert proc.returncode == 0, err
-        outcome, *rest = out.split()
-        assert outcome == "raised", out
-        assert float(rest[0]) < 10.0
-        assert rest[1:] == ["0", "reaped", "True"]
+        _record_54(path)
+        scan = search._scan_branch
+        inside = threading.Event()
+
+        def failing(task):
+            if task[3] == (1, 2, 2, 2):
+                inside.wait(5.0)
+                time.sleep(0.2)
+                raise MemoryError("the compiled walker ran out of memory")
+            inside.set()
+            return scan(task)
+
+        monkeypatch.setattr(search, "_scan_branch", failing)
+        started = time.monotonic()
+        with pytest.raises(MemoryError):
+            search_minimal(SearchConfig(n=5, k=4, workers=2, checkpoint_path=path))
+        assert time.monotonic() - started < 5.0
+        assert inside.is_set()
+        _Checkpoint(path, SearchConfig(n=5, k=4)).close()  # the search freed its file
+
+
+def _record_54(path: Path) -> None:
+    """A (5,4) checkpoint that leaves two branches at length 51 to scan.
+
+    At (5,4) and length 51, the branch (1,2,2,2) takes 50.9 M nodes, 2 to 3 s
+    on the compiled walker, and (1,2,3,4) 1.30 G nodes, 45 to 60 s. Every
+    branch up to length 51 is recorded as scanned and empty but those two,
+    and (1,2,2,3), which comes between them, with 10**10 + 1 nodes.
+    """
+    ckpt = _Checkpoint(path, SearchConfig(n=5, k=4))
+    for L in range(3, 52, 4):
+        for prefix in _branches(5, 4, L)[0]:
+            if L < 51 or prefix not in ((1, 2, 2, 2), (1, 2, 3, 4)):
+                over = L == 51 and prefix == (1, 2, 2, 3)
+                ckpt.record(L, prefix, 10**10 + 1 if over else 1, 0, None)
+    ckpt.close()  # releases the lock for the search that reads it
+
 
 @pytest.mark.long
 def test_find_mode_memory_stays_flat():

@@ -194,14 +194,18 @@ def test_import_leaves_numpy_out():
 
 
 def test_cli_import_leaves_multiprocessing_out():
-    # the process pool modules load only when a search starts its pool
+    # the thread pool's modules load only when a search starts its pool, and
+    # multiprocessing not even then
     script = (
         "import sys, crucialis.cli\n"
         "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+        "from crucialis.search import SearchConfig, search_minimal\n"
+        "search_minimal(SearchConfig(n=3, k=3, workers=2))\n"
+        "print('multiprocessing' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(crucialis.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False"]
+    assert proc.stdout.split() == ["False", "False", "False"]
