@@ -129,7 +129,7 @@ def _tables(n: int, k: int, L: int) -> tuple[tuple[int, ...], tuple]:
 
     search._lanes(n) goes as (low, high) 64-bit pairs: unit[0..n],
     bit[0..n], full and fill. search._slot_events(k, L) goes flattened, a row
-    of 12 ints per depth (the enum in _walk.c names them), with the (start,
+    of 11 ints per depth (the enum in _walk.c names them), with the (start,
     stop) of its half and prog ranges, and the list of the slots b that each
     depth checks, which the rows point at."""
     from array import array
@@ -141,9 +141,9 @@ def _tables(n: int, k: int, L: int) -> tuple[tuple[int, ...], tuple]:
     lanes = array("Q", (x for v in (*unit, *bit, full, fill) for x in (v & mask, v >> 64)))
     checked: list[int] = []
     rows: list[int] = []
-    for ev, cap, doubtful, free, half, prog in _slot_events(k, L):
+    for ev, cap, free, half, prog in _slot_events(k, L):
         nb, rb, checks = ev or (0, 0, ())
-        rows += (ev is not None, nb, rb, cap, doubtful, free, len(checked), len(checks))
+        rows += (ev is not None, nb, rb, cap, free, len(checked), len(checks))
         rows += (half.start, half.stop, prog.start, prog.stop)
         checked += checks
     events = array("i", rows)

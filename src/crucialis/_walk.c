@@ -49,14 +49,14 @@ __extension__ typedef unsigned __int128 u128;
 #define MAX_LETTERS 7
 
 /* One row of the flattened slot table per depth t = 0..L, see _native.py:
- * the events, cap, doubtful and free of search._slot_events, the offset and
- * number of the depth's checked slots in the lists, and the [start, stop) of
- * its half and prog ranges */
-enum { EV, NB, RB, CAP, DOUBTFUL, FREE, CHECKS, NCHECKS, HALF, HALF_END, PROG, PROG_END, ROW };
+ * the events, cap and free of search._slot_events, the offset and number
+ * of the depth's checked slots in the lists, and the [start, stop) of its
+ * half and prog ranges */
+enum { EV, NB, RB, CAP, FREE, CHECKS, NCHECKS, HALF, HALF_END, PROG, PROG_END, ROW };
 
 typedef struct {
-    int a, last, seen, recount, nchecks;
-    u128 done, named, d, c, nbase, nceil, rbit, rtarget;
+    int a, last, seen;
+    u128 done, named, nbase, nceil, rbit, rtarget;
 } Frame;
 
 typedef struct {
@@ -209,11 +209,7 @@ int crucialis_walk(int64_t *a)
         const int32_t *e = events + (size_t)t * ROW;
         f->seen = seen;
         f->done = done;
-        if (!e[EV]) { /* the counts stand as the parent left them */
-            f->d = done;
-            f->c = named;
-            f->recount = done != full && popcount(full ^ (done | ((named + fill) & full))) > e[DOUBTFUL];
-        } else {
+        if (e[EV]) {
             int nb = e[NB], rb = e[RB];
             if (nb) {
                 f->nbase = 2 * P[nb - 1];
@@ -238,7 +234,6 @@ int crucialis_walk(int64_t *a)
             }
         }
         f->named = named;
-        f->nchecks = e[NCHECKS];
         if (m < plen) {
             f->a = f->last = prefix[m];
         } else {
@@ -252,12 +247,10 @@ int crucialis_walk(int64_t *a)
             if (f->a > f->last) {
                 if (m == 0)
                     goto walked;
-                if (f->nchecks) { /* the slots checked here get back their state */
-                    int at = events[(size_t)(m + 1) * ROW + CHECKS];
-                    for (int i = at; i < at + f->nchecks; i++) {
-                        S[lists[i]] = live_x[i];
-                        G[lists[i]] = live_g[i];
-                    }
+                e = events + (size_t)(m + 1) * ROW;
+                for (int i = e[CHECKS]; i < e[CHECKS] + e[NCHECKS]; i++) {
+                    S[lists[i]] = live_x[i]; /* the slots checked here get back their state */
+                    G[lists[i]] = live_g[i];
                 }
                 m--;
                 continue;
@@ -273,11 +266,8 @@ int crucialis_walk(int64_t *a)
             }
             u128 pa = P[m] + unit[a];
             P[t] = pa;
-            u128 d, c;
-            int recount;
+            u128 d = f->done, c = f->named;
             if (e[EV]) {
-                d = f->done;
-                c = f->named;
                 if (k == 2) { /* the slot is reached as it is determined; none is named */
                     d |= bit[letter_of(pa - f->nbase, unit, n)];
                 } else {
@@ -300,16 +290,10 @@ int crucialis_walk(int64_t *a)
                         }
                     }
                 }
-                int unnamed = popcount(full ^ (d | ((c + fill) & full)));
-                if (unnamed > e[CAP])
+                if (popcount(full ^ (d | ((c + fill) & full))) > e[CAP])
                     continue; /* too few slots left, even if each undetermined one is free */
-                recount = d != full && unnamed > e[DOUBTFUL];
-            } else {
-                d = f->d;
-                c = f->c;
-                recount = f->recount;
             }
-            if (recount) {
+            if (d != full) {
                 /* the matching count of (c): each letter still open needs a
                  * slot of its own that admits it */
                 int alls = e[FREE];

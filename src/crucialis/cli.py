@@ -391,10 +391,7 @@ def run(argv=None, out=None, err=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args, out, err)
-    except _UsageError as e:
-        print(f"error: {e}", file=err)
-        return EXIT_USAGE
-    except (ParseError, FormatError, DomainError, CapacityError) as e:
+    except (_UsageError, ParseError, FormatError, DomainError, CapacityError) as e:
         print(f"error: {e}", file=err)
         return EXIT_USAGE
     except CrucialisError as e:

@@ -72,12 +72,10 @@ leaves the future at depth kb-1, where it completes its letter if block k
 matches too. Only these depths change the number of uncompleted letters
 that no live named slot names, or the number of slots with 2b-1 > t, and
 comparing the two is the cut with every half determined slot free and every
-block in progress fitting. The cut is tested at every depth, but the half
-determined slots and the blocks in progress are read only when those
-letters plus the slots with a block in progress outnumber the free slots:
-each block in progress kills at most one slot, which unnames at most one
-letter, so otherwise the matching exists. A slot with b-1 = t counts as
-free: P[t] is the count being written at depth t.
+block in progress fitting. That cheap count runs only at the depths that
+change its two terms. The matching count runs at every depth that leaves a
+letter uncompleted. A slot with b-1 = t counts as free: P[t] is the count
+being written at depth t.
 
 Every search scans only canonical R, whose letters are named in order of
 first occurrence in R (letter i+1 may only appear after letter i has).
@@ -147,8 +145,9 @@ recorded branches and appends new ones; find and verify runs of the same
 lock on its file while it runs, and a second search on the same file raises
 DomainError without touching it. Records hold canonical counts whatever
 symmetry_reduction is, so a v4 file with reduction=0 is rejected. A torn
-final line, left by an interrupted write, is cut off on load; a malformed
-line anywhere else raises DomainError.
+final line, left by an interrupted write, is cut off on load, and a header
+torn before its newline gets the newline; a malformed line anywhere else
+raises DomainError.
 
 The compiled walker. For n <= 7, with gcc on PATH, _scan_branch runs on
 _walk.c, a second copy of _walk in C that _native.py builds on first use
@@ -310,10 +309,10 @@ def _lanes(n: int) -> tuple[tuple[int, ...], tuple[int, ...], dict[int, int], in
 def _slot_events(k: int, L: int) -> tuple:
     """The completion slots of each depth t = 1..L of a scan to length L.
 
-    Entry t is (events, cap, doubtful, free, half, prog). Slots are named by
-    their block length b, and 0 stands for none. events is None when the
-    named counts stay as they are at t, else (named, reached, checks): named
-    is the slot determined at t = 2b-1, reached the slot with t = kb-1 (k >= 3;
+    Entry t is (events, cap, free, half, prog). Slots are named by their
+    block length b, and 0 stands for none. events is None when the named
+    counts stay as they are at t, else (named, reached, checks): named is
+    the slot determined at t = 2b-1, reached the slot with t = kb-1 (k >= 3;
     at k = 2 a slot is reached as it is determined), and checks lists the b
     whose block j ends at t = jb-1, 3 <= j < k. free counts the slots with
     b-1 >= t. half is the range of b-1 over the half determined slots,
@@ -321,14 +320,10 @@ def _slot_events(k: int, L: int) -> tuple:
     table grows as L. cap = free + len(half) counts the slots with
     2b-1 > t.
 
-    A b of prog that does not divide t+1 has a block in progress: with
-    j = (t+1)//b, jb-1 < t < (j+1)b-1 <= kb-1. The others are the b with
-    jb = t+1, and 2b-1 < t < kb-1 gives 2 < j < k, so they are exactly the
-    checks of depth t, each b with its one j. So doubtful = free - len(prog)
-    + len(checks) is free less the slots with a block in progress. The
-    walkers read every b of prog all the same: a slot checked at t either
-    died there or has a block j equal to block 2 and no block j+1 yet, so
-    reading it kills nothing.
+    A b of prog that does not divide t+1 has a block in progress. The others
+    are the checks of depth t. The walkers read every b of prog: a slot
+    checked at t either died there or has a block j equal to block 2 and no
+    block j+1 yet, so reading it kills nothing.
     """
     B = (L + 1) // k
     named = {2 * b - 1: b for b in range(1, B + 1)}
@@ -343,8 +338,7 @@ def _slot_events(k: int, L: int) -> tuple:
         half = range((t + 1) // 2, min(t, B))
         prog = range((t + 1) // k + 1, min(t // 2, B) + 1)
         free = max(0, B - t)
-        doubtful = free - len(prog) + len(ev[2])
-        entries.append((ev if any(ev) else None, free + len(half), doubtful, free, half, prog))
+        entries.append((ev if any(ev) else None, free + len(half), free, half, prog))
     return tuple(entries)
 
 
@@ -423,14 +417,11 @@ def _walk(
 
     while True:
         t = m + 1
-        ev, cap, doubtful, free, half, prog = events[t]
+        ev, cap, free, half, prog = events[t]
         if ev is not None:
             nb, rb, checks = ev
         if letters is None:
-            if ev is None:  # the counts stand as the parent left them
-                d, c = done, named
-                recount = d != full and (full ^ (d | (c + fill) & full)).bit_count() > doubtful
-            else:
+            if ev is not None:
                 if nb:
                     nbase = 2 * P[nb - 1]
                     nceil = full - P[nb - 1]
@@ -457,8 +448,8 @@ def _walk(
                 if time.monotonic() > deadline[0]:
                     return nodes, count, least, words, True
             P[t] = pa = pm + unit[a]
+            d, c = done, named
             if ev is not None:
-                d, c = done, named
                 if k == 2:  # the slot is reached as it is determined; none is named
                     d |= bit[letter_of.get(pa - nbase, 0)]
                 else:
@@ -475,11 +466,9 @@ def _walk(
                             c += unit[x]
                         else:
                             S[b] = 0
-                unnamed = (full ^ (d | (c + fill) & full)).bit_count()
-                if unnamed > cap:
+                if (full ^ (d | (c + fill) & full)).bit_count() > cap:
                     continue  # too few slots left, even if each undetermined one is free
-                recount = d != full and unnamed > doubtful
-            if recount:
+            if d != full:
                 # the matching count of (c): each letter still open needs a
                 # slot of its own that admits it
                 alls, live_c = free, c
@@ -508,7 +497,7 @@ def _walk(
                 if keep:
                     words.append(w)
                 continue
-            frames[m] = (letters, seen, done, named, d, c, recount, nbase, nceil, rbit, rtarget, live)
+            frames[m] = (letters, seen, done, named, nbase, nceil, rbit, rtarget, live)
             m, seen, done, named, letters = t, max(seen, a), d, c, None
             break
         else:
@@ -518,7 +507,7 @@ def _walk(
                 for _, x, b, g in live:  # the slots checked here get back their state
                     S[b], G[b] = x, g
             m -= 1
-            letters, seen, done, named, d, c, recount, nbase, nceil, rbit, rtarget, live = frames[m]
+            letters, seen, done, named, nbase, nceil, rbit, rtarget, live = frames[m]
 
 
 def _w_canonical(r: list[int]) -> tuple[int, ...]:
@@ -624,6 +613,8 @@ class _Checkpoint:
                 f"checkpoint {self.path} belongs to a different search "
                 f"(found {lines[0].rstrip()!r})"
             )
+        if lines[0] == self.header:  # torn before its newline, so the only line
+            self._append("\n")
         size = len(lines[0])
         for i, line in enumerate(lines[1:], start=2):
             try:

@@ -76,6 +76,27 @@ class TestSearchMinimal:
             search_minimal(cfg)
 
 
+# nodes_expanded is deterministic; a lost or weakened cut changes it
+NODE_COUNTS = [
+    (5, 2, None, 731),
+    (2, 4, None, 116),
+    (2, 5, None, 270),
+    (3, 4, 27, 3_005),
+    (4, 4, 35, 26_210),
+    (3, 5, 35, 43_757),
+]
+
+
+@pytest.mark.parametrize("n,k,below,nodes", NODE_COUNTS)
+def test_node_counts(n, k, below, nodes):
+    if below is None:
+        result = search_minimal(SearchConfig(n=n, k=k))
+    else:
+        result = verify_none_below(SearchConfig(n=n, k=k, target_mode=VerifyNoneBelow(below)))
+    assert result.exhaustive
+    assert result.nodes_expanded == nodes
+
+
 class TestSymmetryReduction:
     def test_same_answer_without_reduction(self):
         on = search_minimal(SearchConfig(n=3, k=2))
@@ -478,6 +499,16 @@ class TestCheckpoints:
         assert path.read_text().startswith(intact)
         # the records appended after the cut tail load cleanly
         assert search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path)) == fresh
+
+    def test_header_without_newline_is_completed(self, tmp_path):
+        # records appended to a header torn before its newline would join
+        # its line, and every later run would reject the file
+        path = tmp_path / "scan.ckpt"
+        path.write_text("# crucialis checkpoint v4 n=3 k=3 reduction=1 depth=4")
+        fresh = search_minimal(SearchConfig(n=3, k=3))
+        assert search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path)) == fresh
+        assert search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path)) == fresh
+        assert path.read_text().startswith("# crucialis checkpoint v4 n=3 k=3 reduction=1 depth=4\n")
 
     def test_malformed_inner_line_rejected(self, tmp_path):
         path = tmp_path / "scan.ckpt"
