@@ -42,7 +42,6 @@ from .cruciality import (
 from .errors import (
     BudgetExhaustedError,
     CapacityError,
-    CrucialisError,
     DomainError,
     FormatError,
     IncompleteChainError,
@@ -394,9 +393,6 @@ def run(argv=None, out=None, err=None) -> int:
     except (_UsageError, ParseError, FormatError, DomainError, CapacityError) as e:
         print(f"error: {e}", file=err)
         return EXIT_USAGE
-    except CrucialisError as e:
-        print(f"error: {e}", file=err)
-        return EXIT_NEGATIVE
 
 
 def main() -> None:

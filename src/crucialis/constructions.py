@@ -204,8 +204,8 @@ def greedy_length(n: int) -> int:
 
     2, 5, 11, 20, 38, 65, ... ; optimal up to four letters, longer after.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    if type(n) is not int or n < 1:  # a bool or float is no alphabet size
+        raise DomainError(f"need an int n >= 1, got {n!r}")
     total = sum(2 * 3**j for j in range((n - 1) // 2 + 1))
     total += sum(3**j for j in range(1, n // 2 + 1))
     return total

@@ -85,6 +85,8 @@ class CrucialDecomposition:
 
     def delta(self, i: int) -> Word:
         """The suffix D_i of the input word."""
+        if type(i) is not int:  # a bool or float is no letter
+            raise DomainError(f"i must be an int, got {i!r}")
         if not 1 <= i <= len(self.delta_lengths):
             raise IndexError(f"no suffix D_{i} in a chain of {len(self.delta_lengths)}")
         m = len(self.word)
@@ -183,6 +185,11 @@ class OccurrenceProfile:
     rest: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.rest, tuple):
+            object.__setattr__(self, "rest", tuple(self.rest))
+        for a in (self.a0, *self.rest):
+            if type(a) is not int or a < 0:  # a bool or float is no count
+                raise DomainError(f"counts must be non-negative ints, got {a!r}")
         if any(b < a for a, b in zip(self.rest, self.rest[1:])):
             raise DomainError("rest counts must be non-decreasing")
 

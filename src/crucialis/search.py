@@ -562,7 +562,7 @@ class _Checkpoint:
         self.done: dict[tuple[int, tuple[int, ...]], tuple[int, int, tuple[int, ...] | None]] = {}
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.fh = open(self.path, "a+")
+            self.fh = open(self.path, "a+", encoding="ascii")  # the format is ASCII
         except OSError as e:
             raise DomainError(f"checkpoint {self.path} cannot be opened: {e.strerror}") from None
         try:
@@ -607,7 +607,10 @@ class _Checkpoint:
 
     def _load(self) -> None:
         self.fh.seek(0)
-        lines = self.fh.readlines()
+        try:
+            lines = self.fh.readlines()
+        except UnicodeDecodeError:
+            raise DomainError(f"checkpoint {self.path} is not ASCII text") from None
         if lines[0].rstrip("\n") != self.header:
             raise DomainError(
                 f"checkpoint {self.path} belongs to a different search "

@@ -104,6 +104,8 @@ EMPTY_WORD = Word((), 1)
 
 def parikh(w: Word, start: int, end: int) -> tuple[int, ...]:
     """Parikh vector of the factor (start, end] as a plain tuple."""
+    if type(start) is not int or type(end) is not int:  # a bool or float is no index
+        raise DomainError(f"start and end must be ints, got {start!r}, {end!r}")
     if not 0 <= start <= end <= len(w):
         raise IndexError(f"factor range ({start}, {end}] invalid for length {len(w)}")
     counts = [0] * w.alphabet_size

@@ -1,12 +1,9 @@
 """Acceptance gate: known words, formulas, minima, profiles, detector, bounds.
 
 Each test covers one shipped guarantee end to end and prints a single
-ACCEPTANCE line when it holds. The long exhaustive search is opt-in:
-run `pytest -m long` (optionally with CRUCIALIS_LONG_NODE_BUDGET,
-CRUCIALIS_LONG_WORKERS and CRUCIALIS_CHECKPOINT_DIR set) to include it.
+ACCEPTANCE line when it holds.
 """
 
-import os
 import random
 import time
 from operator import sub
@@ -216,56 +213,31 @@ def test_no_five_letter_cube_word_below_32():
 
 # Certifies that no crucial word for fourth powers over four letters is
 # shorter than 43, the paper's k^2(n-1)-k-1 at n = k = 4, which the family
-# word D_{4,4} attains, so 43 is the minimum: 13,479,305 nodes, about 20 s
-# on one core of a 2-vCPU Intel Xeon VM with Python 3.11 (workers=1, default
-# budget).
-@pytest.mark.long
-def test_no_four_letter_fourth_power_word_below_43(tmp_path):
-    budget = int(os.environ.get("CRUCIALIS_LONG_NODE_BUDGET", str(10**10)))
-    ckpt_dir = os.environ.get("CRUCIALIS_CHECKPOINT_DIR")
-    ckpt = (
-        os.path.join(ckpt_dir, "crucialis-search-n4-k4.ckpt")
-        if ckpt_dir
-        else tmp_path / "n4k4.ckpt"
-    )
-    workers = int(os.environ.get("CRUCIALIS_LONG_WORKERS", "1"))
+# word D_{4,4} attains, so 43 is the minimum: 13,479,305 nodes, the same
+# from the thread pool as from one walk.
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_four_letter_fourth_power_word_below_43(tmp_path, workers):
     d44 = construct_family(FamilyId.DN_K, 4, 4)
     assert len(d44) == 43 and is_crucial(d44, 4)
-
-    def none_below(limit, node_budget=None):
-        return verify_none_below(
-            SearchConfig(
-                n=4,
-                k=4,
-                target_mode=VerifyNoneBelow(limit),
-                node_budget=node_budget,
-                workers=workers,
-                checkpoint_path=ckpt,
-            )
+    result = verify_none_below(
+        SearchConfig(
+            n=4,
+            k=4,
+            target_mode=VerifyNoneBelow(43),
+            workers=workers,
+            checkpoint_path=tmp_path / "n4k4.ckpt",
         )
-
-    result = none_below(43, budget)
-    if result.exhaustive:
-        assert result.nodes_expanded == 13_479_305
-        assert result.crucial_words_found == 0
-        assert result.minimal_length is None
-        print("ACCEPTANCE four-letter fourth-power minimum 43, none below certified: PASS")
-    else:
-        # budget tripped: certify the weaker absence claim instead
-        short = none_below(39)
-        assert short.exhaustive
-        assert short.crucial_words_found == 0
-        print(
-            "ACCEPTANCE four-letter fourth-power minimum: budget tripped, "
-            "none below 39 certified: PASS"
-        )
+    )
+    assert result.exhaustive
+    assert result.nodes_expanded == 13_479_305
+    assert result.crucial_words_found == 0
+    assert result.minimal_length is None
+    print("ACCEPTANCE four-letter fourth-power minimum 43, none below certified: PASS")
 
 
 # Proves min(2,8) = 39, attained by the binary word B_8 = (1^4 2)^6 1 2 1^7:
-# 5,833,304 nodes, about 30 s on one core of a 2-vCPU Intel Xeon VM with
-# Python 3.11. Find mode keeps a count and the least of the 1,080,057 crucial
-# words it scans at 39, not the words.
-@pytest.mark.long
+# 5,833,304 nodes. Find mode keeps a count and the least of the 1,080,057
+# crucial words it scans at 39, not the words.
 def test_two_letter_eighth_power_minimum_39():
     b8 = parse_word("11112" * 6 + "12" + "1" * 7)
     assert len(b8) == 39 and is_crucial(b8, 8)

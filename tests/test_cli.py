@@ -379,6 +379,16 @@ class TestSearch:
         assert ckpt.exists()
         assert ckpt.read_text().startswith("# crucialis checkpoint v4 n=2 k=3")
 
+    def test_non_ascii_checkpoint_is_a_usage_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CRUCIALIS_CHECKPOINT_DIR", str(tmp_path))
+        ckpt = tmp_path / "crucialis-search-n3-k3.ckpt"
+        ckpt.write_bytes(b"\xff\xfe\x00garbage\n")
+        code, out, err = invoke(["search", "--n", "3", "--k", "3"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: checkpoint ") and err.count("\n") == 1
+        assert ckpt.read_bytes() == b"\xff\xfe\x00garbage\n"
+
     def test_unopenable_checkpoint_dir_is_a_usage_error(self, tmp_path, monkeypatch):
         blocker = tmp_path / "blocker"
         blocker.write_text("")

@@ -250,8 +250,9 @@ class TestGreedyLength:
         assert greedy_length(n) == len(optimal_small_word(n))
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            greedy_length(0)
+        for n in (0, True, 2.0):  # a bool or float is no alphabet size
+            with pytest.raises(DomainError):
+                greedy_length(n)
 
 
 class TestFamilyDispatch:

@@ -140,6 +140,9 @@ class TestDecompose:
             dec.delta(3)
         with pytest.raises(IndexError):
             dec.delta(0)
+        for i in (True, 1.0):  # a bool or float is no letter
+            with pytest.raises(DomainError):
+                dec.delta(i)
 
 
 class TestNormalize:
@@ -211,6 +214,19 @@ class TestOccurrenceProfile:
     def test_rest_must_be_sorted(self):
         with pytest.raises(DomainError):
             OccurrenceProfile(a0=2, rest=(6, 3))
+
+    @pytest.mark.parametrize(
+        "a0,rest",
+        [(5.0, (3, 6)), (True, (3,)), (2, (3, 6.0)), (2, (False, 3)), (-1, (3,)), (2, (-3, 3))],
+    )
+    def test_counts_must_be_non_negative_ints(self, a0, rest):
+        with pytest.raises(DomainError):
+            OccurrenceProfile(a0, rest)
+
+    def test_list_rest_becomes_a_tuple(self):
+        p = OccurrenceProfile(2, [3, 6, 9, 9])
+        assert p == OccurrenceProfile(2, (3, 6, 9, 9))
+        assert profile_violations(p) == [ViolationTag.QUINT_2_3_6_9_9]
 
     def test_str(self):
         assert str(OccurrenceProfile(5, (3, 6, 9))) == "(5; 3, 6, 9)"

@@ -1,5 +1,6 @@
 """Search engine: minima, enumeration, certificates, budgets, checkpoints."""
 
+import fcntl
 import gc
 import os
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import crucialis
-from crucialis import search
+from crucialis import _native, search
 from crucialis.cruciality import is_crucial
 from crucialis.errors import BudgetExhaustedError, DomainError
 from crucialis.search import (
@@ -158,17 +159,29 @@ class TestDeterminism:
 
     def test_parallel_budget_trip_stops_running_workers(self, tmp_path):
         # The workers=2 run scans (1,2,2,2) and (1,2,3,4) of _record_54 at
-        # once. It trips on consuming (1,2,2,3) once (1,2,2,2) is done, while
-        # the other thread still scans (1,2,3,4) under a cap over its size:
-        # the search must stop that scan, not wait for it.
+        # once. The (1,2,2,2) task returns an empty record once the other
+        # thread is inside (1,2,3,4), so the test does not depend on which
+        # walker scans. The search trips on consuming (1,2,2,3) while the
+        # other thread still scans (1,2,3,4) under a cap over its size: the
+        # search must stop that scan, not wait for it.
         path = tmp_path / "scan.ckpt"
         _record_54(path)
         script = (
-            "import sys\n"
+            "import sys, threading, time\n"
+            "from crucialis import search\n"
             "from crucialis.search import SearchConfig, search_minimal\n"
+            "scan, inside = search._scan_branch, threading.Event()\n"
+            "def quick(task):\n"
+            "    if task[3] == (1, 2, 2, 2):\n"
+            "        inside.wait(5.0)\n"
+            "        time.sleep(0.2)\n"
+            "        return 1, 0, None, None, False\n"
+            "    inside.set()\n"
+            "    return scan(task)\n"
+            "search._scan_branch = quick\n"
             "r = search_minimal(SearchConfig(n=5, k=4, workers=2, node_budget=10**10,\n"
             "    checkpoint_path=sys.argv[1]))\n"
-            "print(r.exhaustive, r.minimal_length, r.nodes_expanded)\n"
+            "print(r.exhaustive, r.minimal_length, r.nodes_expanded, inside.is_set())\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(crucialis.__file__).parents[1]))
         started = time.monotonic()
@@ -179,7 +192,7 @@ class TestDeterminism:
         # a worker left to finish (1,2,3,4) would take most of a minute more
         assert time.monotonic() - started < 5.0
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "None", str(10**10 + 1)]
+        assert proc.stdout.split() == ["False", "None", str(10**10 + 1), "True"]
 
     def test_error_on_the_pool_stops_running_workers(self, tmp_path, monkeypatch):
         # The (1,2,2,2) task of _record_54 raises MemoryError, as
@@ -225,7 +238,6 @@ def _record_54(path: Path) -> None:
     ckpt.close()  # releases the lock for the search that reads it
 
 
-@pytest.mark.long
 def test_find_mode_memory_stays_flat():
     # find keeps a count and the least hit, not the 158,356 crucial words at
     # (3,4) = 27, which take about 70 MB of peak RSS when kept. The peak is
@@ -380,10 +392,15 @@ class TestBudgets:
         assert not seq.exhaustive
         assert par == seq
 
-    def test_time_budget_trips_to_unproven(self):
-        result = search_minimal(SearchConfig(n=4, k=3, time_budget=1e-9))
-        assert not result.exhaustive
-        assert result.minimal_length is None
+    def test_time_budget_trips_to_unproven(self, monkeypatch):
+        def unproven():
+            result = search_minimal(SearchConfig(n=4, k=3, time_budget=1e-9))
+            assert not result.exhaustive
+            assert result.minimal_length is None
+
+        unproven()  # on the compiled walker where it builds
+        monkeypatch.setattr(_native, "scan_branch", lambda task: None)
+        unproven()  # on _walk
 
     def test_verify_under_budget_is_not_certified(self):
         cfg = SearchConfig(n=3, k=3, target_mode=VerifyNoneBelow(11), node_budget=4)
@@ -509,6 +526,24 @@ class TestCheckpoints:
         assert search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path)) == fresh
         assert search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path)) == fresh
         assert path.read_text().startswith("# crucialis checkpoint v4 n=3 k=3 reduction=1 depth=4\n")
+
+    @pytest.mark.parametrize(
+        "after_records,text", [(False, b"\xff\xfe\x00garbage\n"), (True, b"\xff\n")],
+        ids=["whole-file", "last-line"],
+    )
+    def test_non_ascii_file_rejected_and_untouched(self, tmp_path, after_records, text):
+        # the format is ASCII: other bytes are no record, not even a torn one
+        path = tmp_path / "scan.ckpt"
+        if after_records:
+            search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path))
+        with open(path, "ab") as fh:
+            fh.write(text)
+        before = path.read_bytes()
+        with pytest.raises(DomainError, match="not ASCII"):
+            search_minimal(SearchConfig(n=3, k=3, checkpoint_path=path))
+        assert path.read_bytes() == before
+        with open(path, "a") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)  # the search released its lock
 
     def test_malformed_inner_line_rejected(self, tmp_path):
         path = tmp_path / "scan.ckpt"

@@ -31,6 +31,11 @@ class TestWordType:
         assert list(w) == [1, 2, 1]
         assert w[0] == 1 and w[2] == 1
 
+    def test_list_letters_become_a_tuple(self):
+        w = Word([1, 2, 1], 2)
+        assert w.letters == (1, 2, 1)
+        assert w == Word((1, 2, 1), 2) and hash(w) == hash(Word((1, 2, 1), 2))
+
     def test_factory_infers_alphabet(self):
         assert word((1, 3, 2)).alphabet_size == 3
         assert word((1, 1)).alphabet_size == 1
@@ -101,6 +106,9 @@ class TestParikh:
             parikh(w, 0, 4)
         with pytest.raises(IndexError):
             parikh(w, -1, 2)
+        for start, end in ((True, 3), (0, 3.0), (0.0, 2)):  # a bool or float is no index
+            with pytest.raises(DomainError):
+                parikh(w, start, end)
 
     def test_packed_prefix_lanes(self):
         p, shift = packed_prefixes((1, 2, 1, 2, 2))
@@ -146,6 +154,12 @@ class TestParseRender:
     def test_parse_rejects_non_int_alphabet(self, size):
         with pytest.raises(ParseError):
             parse_word("1", alphabet_size=size)
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ParseError):
+            parse_word("121", "compact")
+        with pytest.raises(FormatError):
+            render_word(Word((1, 2, 1), 2), "spaced")
 
     def test_render_compact_needs_small_alphabet(self):
         w = Word((10, 2), 10)
