@@ -2,7 +2,9 @@
 
 _walk.c is a second copy of search._walk for n <= 7 letters, checked against
 it node for node by tests/test_native_walk.py. It runs one walk, the branch
-scan: scan_branch(task) returns the record that search._walk(*task) does.
+scan, where a branch may be the whole length (the prefix ()): a search
+without a pool, a checkpoint or a budget scans each length in one call.
+scan_branch(task) returns the record that search._walk(*task) does.
 ctypes releases the GIL for the whole call, so the search's pool threads
 scan their branches in parallel, and each polls the search's deadline cell,
 which another thread moves to stop it.

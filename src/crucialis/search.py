@@ -18,8 +18,10 @@ Let D be the longest D_x. Every D_y is a suffix of D, so D.y ends in the
 power D_y.y for every y, and D is free as a factor of W. So D is crucial,
 |D| <= |W| and |D| = k-1 (mod k). Hence the minimal crucial length is k-1
 (mod k), and when some crucial word is shorter than a limit, one of such a
-length is. Find and verify modes scan only lengths L = k-1 (mod k).
-Enumeration scans the one length it is given.
+length is. Find and verify modes scan only lengths L = k-1 (mod k), and
+from L = nk-1 on: a shorter length has fewer slots (b) than letters, so
+both walkers return at once there. Enumeration scans the one length it is
+given.
 
 (b) Completion slots. Letter x can complete only at a slot t = k-1 (mod k),
 and t fixes the block length b = (t+1)/k. At most one letter completes at
@@ -101,19 +103,24 @@ witness a forward scan reports. crucial_words_found counts the crucial words
 at that length, the canonical ones under symmetry reduction. Enumeration
 keeps every hit and sorts them.
 
-The tree is split at a fixed shallow depth into branches, prefixes of R.
-A branch walk descends through its prefix with the same DFS, one forced
-letter per depth, and counts only the appends below it. Branches are
-scanned in lexicographic order, sequentially or on a thread pool that is
-started on first use and serves every length of one search call. Results
-are consumed in branch order, so parallel runs return results equal to
-sequential ones, node counts included. Every scan polls the search's one
-deadline cell, the end of its time budget or +inf, every 4096 nodes. When
-the search stops early, on a budget, an error or Ctrl-C, it sets the cell to
--inf, so each scan still running returns at its next poll and no pool
-thread outlives the search. An error raised in a pool scan, such as the
-compiled walker's MemoryError, is raised by the search as it consumes that
-branch, as in a sequential scan. The compiled walker releases the GIL for a
+A length is split at a fixed shallow depth into branches, prefixes of R,
+only where something reads the branches: the pool hands them out, a
+checkpoint records them, and a budget keeps the hits of the branches
+completed before it trips. A search with none of these scans each length as
+one branch, the prefix (), in one walk; the split and its branch walks make
+up that root walk node for node and hit for hit, so every result is the
+same either way. A branch walk descends through its prefix with the same
+DFS, one forced letter per depth, and counts only the appends below it.
+Branches are scanned in lexicographic order, sequentially or on a thread
+pool that is started on first use and serves every length of one search
+call. Results are consumed in branch order, so parallel runs return results
+equal to sequential ones, node counts included. Every scan polls the
+search's one deadline cell, the end of its time budget or +inf, every 4096
+nodes. When the search stops early, on a budget, an error or Ctrl-C, it
+sets the cell to -inf, so each scan still running returns at its next poll
+and no pool thread outlives the search. An error raised in a pool scan, such
+as the compiled walker's MemoryError, is raised by the search as it consumes
+that branch, as in a sequential scan. The compiled walker releases the GIL for a
 whole branch, so its scans run in parallel. _walk holds the GIL, so with
 workers > 1 its scans share one core, with the same results. Pool scans
 run in the search's own process, so one that runs out of memory hits the
@@ -130,10 +137,10 @@ only the branches a sequential run records. Time
 budgets are a wall-clock safety net and are the one knob that trades
 determinism for protection. A budget that trips downgrades the result to
 exhaustive=False rather than raising. A trip at the length that carries hits
-keeps the proven minimal length and the least hit seen so far, still with
-exhaustive=False. Enumeration sorts its words only once the whole length is
-scanned, so a trip there raises BudgetExhaustedError without yielding any
-word.
+keeps the proven minimal length and the least hit of the branches completed
+before the trip, still with exhaustive=False. Enumeration sorts its words
+only once the whole length is scanned, so a trip there raises
+BudgetExhaustedError without yielding any word.
 
 Checkpoint files make long scans resumable. The file starts with a header
 line recording the format version, n, k, reduction=1 and the branch depth,
@@ -160,14 +167,16 @@ tests/test_native_walk.py holds the copy to, record for record and node for
 node. _branches holds the split rule, and runs the split on _walk, stopped
 early: a walk at most _BRANCH_DEPTH letters deep costs less in Python than
 the call into C, which takes about 10 us and several times that when its
-code has left the CPU's caches.
-Results, node counts, enumerated words and checkpoint files are the same on
-either walker. The header of _walk.c shows why its 128-bit arithmetic,
-which wraps around, gives the values of Python's unbounded ints for n <= 7
-and L <= 65,535. A compiled branch scan cannot see Ctrl-C. A sequential
-search raises the interrupt when the scan returns. A parallel one waits on
-its pool in the main thread, raises it there at once, and stops the pool's
-scans by moving the deadline.
+code has left the CPU's caches. A search that reads no branches skips the
+split and makes one call per length. Results, node counts, enumerated
+words and checkpoint files are the same on either walker. The header of
+_walk.c shows why its 128-bit arithmetic, which wraps around, gives the
+values of Python's unbounded ints for n <= 7 and L <= 65,535. A compiled
+branch scan cannot see Ctrl-C. A sequential search raises the interrupt
+when the scan returns: with a checkpoint or a budget, once the current
+branch is scanned; without them, once the whole current length is. A
+parallel one waits on its pool in the main thread, raises it there at once,
+and stops the pool's scans by moving the deadline.
 """
 
 from __future__ import annotations
@@ -371,9 +380,10 @@ def _walk(
     reached is crucial, and is counted in W-canonical form. With stop,
     1 <= stop <= L, the walk is the split instead: it stops `stop` letters
     deep and its words are the R-prefixes that survive there, as they are.
-    The prefix must be one the same scan reaches, as _branches returns them:
-    the walk descends through it one forced letter per depth, and nodes
-    starts at -len(prefix), so only the appends below the prefix count.
+    The prefix must be one the same scan reaches, as _branches returns them,
+    or (), the whole length: the walk descends through it one forced letter
+    per depth, and nodes starts at -len(prefix), so only the appends below
+    the prefix count.
 
     The walk is one loop that keeps one frame per depth of its path, as
     _walk.c does, and no Python call per depth, so a scan thousands of
@@ -521,7 +531,9 @@ def _branches(
 ) -> tuple[list[tuple[int, ...]], int]:
     """The branches of a scan to length L: all R-prefixes of min(_BRANCH_DEPTH,
     L) letters that the scan reaches. This is the split rule, the one place
-    that reads _BRANCH_DEPTH apart from the checkpoint header.
+    that reads _BRANCH_DEPTH apart from the checkpoint header. _scan_length
+    calls it only for a search with a pool, a checkpoint or a budget; any
+    other scans the length as the one branch ().
 
     Returns them in lexicographic order along with the node count spent, one
     per attempted letter append. The walk is the scan's, stopped early; a
@@ -730,12 +742,23 @@ def _scan_length(
 ) -> None:
     """Scan all branches at target length L, updating state in branch order.
 
-    Stops early only when a budget trips. Branches already in the checkpoint
-    are reused, not re-run; fresh branches within the budget are recorded.
+    Only the pool, the checkpoint and a budget read branches, so only they
+    split the length with _branches; otherwise the whole length is the one
+    branch (). Stops early only when a budget trips. Branches already in the
+    checkpoint are reused, not re-run; fresh branches within the budget are
+    recorded.
     """
-    prefixes, enum_nodes = _branches(cfg.n, cfg.k, L, _left(cfg, state))
-    if _spend(cfg, state, enum_nodes):
-        return
+    if (
+        cfg.workers > 1
+        or ckpt is not None
+        or cfg.node_budget is not None
+        or cfg.time_budget is not None
+    ):
+        prefixes, enum_nodes = _branches(cfg.n, cfg.k, L, _left(cfg, state))
+        if _spend(cfg, state, enum_nodes):
+            return
+    else:
+        prefixes = [()]
 
     keep = state.words is not None
 
@@ -804,8 +827,9 @@ def _search(
 def search_minimal(cfg: SearchConfig) -> SearchResult:
     """Find the minimal crucial length for (n, k) and a witness.
 
-    Scans lengths k-1 (mod k) upward; the first one carrying a crucial word is
-    the minimum, and the witness is the lex-least canonical crucial word there.
+    Scans lengths k-1 (mod k) upward from n*k-1; the first one carrying a
+    crucial word is the minimum, and the witness is the lex-least canonical
+    crucial word there.
     It ends by bounds(n, k).upper, so a proven search always has a witness;
     DomainError if that length is over the target-length limit. Returns
     exhaustive=False with whatever was established if a budget trips.
@@ -814,7 +838,7 @@ def search_minimal(cfg: SearchConfig) -> SearchResult:
         raise DomainError("search_minimal requires target_mode=FindMinimalCrucial()")
     upper = bounds(cfg.n, cfg.k).upper
     _require_length(upper)
-    return _search(cfg, range(cfg.k - 1, upper + 1, cfg.k))
+    return _search(cfg, range(cfg.n * cfg.k - 1, upper + 1, cfg.k))
 
 
 def verify_none_below(cfg: SearchConfig) -> SearchResult:
@@ -827,7 +851,7 @@ def verify_none_below(cfg: SearchConfig) -> SearchResult:
     """
     if not isinstance(cfg.target_mode, VerifyNoneBelow):
         raise DomainError("verify_none_below requires target_mode=VerifyNoneBelow(L)")
-    return _search(cfg, range(cfg.k - 1, cfg.target_mode.length, cfg.k))
+    return _search(cfg, range(cfg.n * cfg.k - 1, cfg.target_mode.length, cfg.k))
 
 
 def enumerate_crucial(cfg: SearchConfig) -> Iterator[Word]:

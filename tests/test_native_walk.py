@@ -79,9 +79,10 @@ def test_source_compiles_without_warnings(tmp_path):
 @pytest.mark.parametrize("n,k,lengths", CELL_LENGTHS)
 def test_walkers_agree(n, k, lengths):
     """Equal branch records, kept words and nodes, with and without keeping
-    the words."""
+    the words, for every branch and for the whole length, the one task of a
+    search that reads no branches."""
     for L in lengths:
-        for prefix in _branches(n, k, L)[0]:
+        for prefix in [(), *_branches(n, k, L)[0]]:  # () is the whole length
             for keep in (False, True):
                 task = (n, k, L, prefix, keep, None, None)
                 native_rec, python_rec = both(lambda: _scan_branch(task))
@@ -102,7 +103,7 @@ def test_walkers_trip_at_the_same_node(n, k, lengths):
     with the words _walk finds before that node. The search below runs every
     node budget on the cells whose minimum it finds."""
     for L in lengths:
-        for prefix in _branches(n, k, L)[0]:
+        for prefix in [(), *_branches(n, k, L)[0]]:  # () is the whole length
             nodes = _scan_branch((n, k, L, prefix, False, None, None))[0]
             for cap in caps(nodes):
                 task = (n, k, L, prefix, True, cap, None)
@@ -119,8 +120,20 @@ def test_search_under_every_node_budget(n, k):
         assert native == python, budget
 
 
-def test_a_node_budget_past_64_bits_never_trips():
-    assert search_minimal(SearchConfig(3, 3, node_budget=2**64 + 5)) == search_minimal(SearchConfig(3, 3))
+@pytest.mark.parametrize(
+    "cfg",
+    [SearchConfig(n, k) for n, k in MINIMA_CELLS]
+    + [
+        SearchConfig(4, 3, target_mode=VerifyNoneBelow(20)),
+        SearchConfig(3, 3, target_mode=EnumerateAllCrucialAtLength(14)),
+    ],
+    ids=lambda cfg: f"{cfg.n}-{cfg.k}-{getattr(cfg.target_mode, 'length', 'min')}",
+)
+def test_a_node_budget_past_64_bits_never_trips(cfg):
+    # the budget splits each length into branches; without one, each length
+    # is scanned whole, and both must give the same result
+    budgeted = replace(cfg, node_budget=2**64 + 5)
+    assert both(lambda: run(budgeted)) == both(lambda: run(cfg))
 
 
 def test_a_time_budget_trips_inside_a_branch():

@@ -98,6 +98,65 @@ def test_node_counts(n, k, below, nodes):
     assert result.nodes_expanded == nodes
 
 
+class TestSplitDispatch:
+    """A length is split into branches only for what reads them: a pool, a
+    checkpoint or a budget. Any other search scans each length in one walk."""
+
+    @staticmethod
+    def spy(monkeypatch) -> tuple[list[int], list[tuple[int, tuple[int, ...]]]]:
+        """The lengths split, and the (length, prefix) of every branch scan,
+        the pool's included."""
+        split, scans = [], []
+        branches, scan = search._branches, search._scan_branch
+
+        def spied_branches(n, k, L, node_cap=None):
+            split.append(L)
+            return branches(n, k, L, node_cap)
+
+        def spied_scan(task):
+            scans.append(task[2:4])
+            return scan(task)
+
+        monkeypatch.setattr(search, "_branches", spied_branches)
+        monkeypatch.setattr(search, "_scan_branch", spied_scan)
+        return split, scans
+
+    @pytest.mark.parametrize(
+        "cfg,lengths",
+        [
+            (SearchConfig(3, 3), [8, 11]),
+            (SearchConfig(4, 3, target_mode=VerifyNoneBelow(14)), [11]),
+            (SearchConfig(3, 3, target_mode=EnumerateAllCrucialAtLength(14)), [14]),
+        ],
+        ids=["min-3-3", "below14-4-3", "enum14-3-3"],
+    )
+    def test_a_plain_search_scans_each_length_whole(self, cfg, lengths, monkeypatch):
+        split, scans = self.spy(monkeypatch)
+        if isinstance(cfg.target_mode, EnumerateAllCrucialAtLength):
+            list(enumerate_crucial(cfg))
+        elif isinstance(cfg.target_mode, VerifyNoneBelow):
+            verify_none_below(cfg)
+        else:
+            search_minimal(cfg)
+        assert split == []
+        # find and verify start at n*k - 1, the first length with a slot per letter
+        assert scans == [(L, ()) for L in lengths]
+
+    @pytest.mark.parametrize("reader", ["workers", "checkpoint", "node_budget", "time_budget"])
+    def test_a_pool_checkpoint_or_budget_splits(self, reader, monkeypatch, tmp_path):
+        kwargs = {
+            "workers": {"workers": 2},
+            "checkpoint": {"checkpoint_path": tmp_path / "scan.ckpt"},
+            "node_budget": {"node_budget": 10**6},
+            "time_budget": {"time_budget": 60.0},
+        }[reader]
+        whole = search_minimal(SearchConfig(3, 3))
+        split, scans = self.spy(monkeypatch)
+        assert search_minimal(SearchConfig(3, 3, **kwargs)) == whole
+        assert split == [8, 11]
+        assert scans and all(len(prefix) == 4 for _, prefix in scans)
+
+
 class TestSymmetryReduction:
     def test_same_answer_without_reduction(self):
         on = search_minimal(SearchConfig(n=3, k=2))
