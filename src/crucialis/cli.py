@@ -12,12 +12,14 @@ comma-joined so the line stays splittable on spaces.
 
 When CRUCIALIS_CHECKPOINT_DIR is set, minimal-length and none-below searches
 keep a resumable per-(n, k) checkpoint file under that directory.
+
+Each command imports only the modules it runs: the search engine loads for
+`search` alone, and the power and cruciality checks for the word commands.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import os
 import sys
@@ -32,13 +34,6 @@ from .constructions import (
     construct_family,
     family_length,
 )
-from .cruciality import (
-    _block_lengths,
-    decompose,
-    is_maximal,
-    occurrence_profile,
-    profile_violations,
-)
 from .errors import (
     BudgetExhaustedError,
     CapacityError,
@@ -48,16 +43,6 @@ from .errors import (
     NamingError,
     NotCrucialError,
     ParseError,
-)
-from .powers import find_abelian_power
-from .search import (
-    EnumerateAllCrucialAtLength,
-    FindMinimalCrucial,
-    SearchConfig,
-    VerifyNoneBelow,
-    enumerate_crucial,
-    search_minimal,
-    verify_none_below,
 )
 from .words import Word, WordFormat, parse_word, render_word
 
@@ -113,6 +98,8 @@ def _cmd_construct(args, out, err) -> int:
 
 
 def _cmd_check(args, out, err) -> int:
+    from .powers import find_abelian_power
+
     w = _read_word(args)
     k = args.k
     if args.what == "free":
@@ -135,6 +122,8 @@ def _cmd_check(args, out, err) -> int:
         print(reason, file=out)
         return EXIT_NEGATIVE
     # maximal
+    from .cruciality import is_maximal
+
     if is_maximal(w, k):
         print("RESULT: maximal", file=out)
         return EXIT_OK
@@ -144,6 +133,8 @@ def _cmd_check(args, out, err) -> int:
 
 def _why_not_crucial(w: Word, k: int) -> str | None:
     """Why w is not crucial, or None if it is."""
+    from .cruciality import _block_lengths
+
     bs = _block_lengths(w, k)
     if bs is None:
         return f"the word already contains an abelian {k}-power"
@@ -153,6 +144,8 @@ def _why_not_crucial(w: Word, k: int) -> str | None:
 
 
 def _cmd_decompose(args, out, err) -> int:
+    from .cruciality import decompose
+
     w = _read_word(args)
     try:
         dec = decompose(w, args.k)
@@ -179,6 +172,8 @@ def _cmd_decompose(args, out, err) -> int:
 
 
 def _cmd_profile(args, out, err) -> int:
+    from .cruciality import occurrence_profile, profile_violations
+
     w = _read_word(args)
     p = occurrence_profile(w)
     report = profile_violations(p, args.k)
@@ -198,6 +193,16 @@ def _checkpoint_path(n: int, k: int) -> str | None:
 
 
 def _cmd_search(args, out, err) -> int:
+    from .search import (
+        EnumerateAllCrucialAtLength,
+        FindMinimalCrucial,
+        SearchConfig,
+        VerifyNoneBelow,
+        enumerate_crucial,
+        search_minimal,
+        verify_none_below,
+    )
+
     common = dict(
         n=args.n,
         k=args.k,
@@ -294,6 +299,8 @@ def _bounds_rows(n_range, k_range) -> list[list[str]]:
 
 def _render_table(header: list[str], rows: list[list[str]], style: str, out) -> None:
     if style == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import crucialis
-from crucialis import cli, powers
+from crucialis import powers
 from crucialis.cli import run
 from crucialis.constructions import bounds, construct_D, construct_family, FamilyId
 from crucialis.cruciality import is_crucial
@@ -99,8 +99,8 @@ class TestCheck:
             scans.append(args)
             return real(*args, **kwargs)
 
+        # the CLI reads find_abelian_power from powers when the command runs
         monkeypatch.setattr(powers, "find_abelian_power", counted)
-        monkeypatch.setattr(cli, "find_abelian_power", counted)
         w = construct_D(40, 5)
         code, out, _ = invoke(
             ["check", "--what", "crucial", "--k", "5", "--n", "40", "--spaced",
@@ -536,3 +536,36 @@ class TestUsage:
             assert out.splitlines()[0] == (
                 "RESULT: crucial" if expected else "RESULT: not crucial"
             )
+
+
+_WORD_LAYERS = ("search", "_native", "cruciality", "powers")
+
+
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        (["table", "bounds"], _WORD_LAYERS),
+        (["construct", "--family", "dnk", "--n", "8", "--k", "4"], _WORD_LAYERS),
+        (["check", "--what", "crucial", "--k", "3", "--word", "11231213311"], ("search", "_native")),
+        (["search", "--n", "3", "--k", "3"], ("cruciality",)),
+    ],
+    ids=["table", "construct", "check", "search"],
+)
+def test_command_loads_only_what_it_runs(argv, absent):
+    # each command imports its modules when it runs; a top-level import in
+    # cli.py or the package would load them for every command
+    script = (
+        "import io, sys\n"
+        "from crucialis import cli\n"
+        "code = cli.run(sys.argv[1:], out=io.StringIO())\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('crucialis.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(crucialis.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split()
+    assert code == "0"
+    assert "crucialis.cli" in loaded
+    assert sorted({f"crucialis.{m}" for m in absent} & set(loaded)) == []

@@ -189,12 +189,15 @@ class TestCorpus:
 
 
 def test_import_leaves_numpy_out():
-    # the package has no runtime dependency: importing it and its CLI loads
-    # only standard-library modules, numpy among those it must not load
+    # the package has no runtime dependency: importing every one of its
+    # modules loads only standard-library modules, numpy among those it must
+    # not load. The package namespace is lazy, so each is imported by name.
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
-        "import crucialis, crucialis.cli\n"
+        "import crucialis, crucialis._native, crucialis.cli, crucialis.constructions\n"
+        "import crucialis.cruciality, crucialis.errors, crucialis.powers\n"
+        "import crucialis.search, crucialis.words\n"
         "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
         "print(*sorted(new - sys.stdlib_module_names - {'crucialis'}))\n"
         "print('numpy' in sys.modules)\n"
