@@ -27,11 +27,10 @@ bound and reports the exact minimal length where it is settled.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import CapacityError, DomainError
-from .words import Word, _check, _word_of
+from .words import Word, _Record, _check, _setfield, _word_of
 
 DEFAULT_LENGTH_CAP = 1_000_000
 
@@ -307,14 +306,19 @@ def _table_cells(n_range, k_range) -> Iterator[tuple[FamilyId, int, int]]:
 _UPPER_FAMILIES = (FamilyId.DN_K, FamilyId.SMALLOPT, FamilyId.DOUBLING_K, FamilyId.ZIMIN_K)
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(_Record):
     """Best known bracket on the minimal crucial length for (n, k)."""
 
     lower: int
     upper: int
     exact: int | None
     upper_family: FamilyId
+
+    def __init__(self, lower: int, upper: int, exact: int | None, upper_family: FamilyId) -> None:
+        _setfield(self, "lower", lower)
+        _setfield(self, "upper", upper)
+        _setfield(self, "exact", exact)
+        _setfield(self, "upper_family", upper_family)
 
 
 def bounds(n: int, k: int) -> Bounds:

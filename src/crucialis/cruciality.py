@@ -21,13 +21,12 @@ flags them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, IncompleteChainError, NamingError, NotCrucialError
 from .powers import _require_exponent, is_abelian_power_free, prefix_completions
 from .powers import suffix_abelian_power  # noqa: F401  (kept importable here; perfbench traces it)
-from .words import Word, _word_of
+from .words import Word, _Record, _setfield, _word_of
 
 
 def _completions(w: Word, k: int) -> list[int | None]:
@@ -68,8 +67,7 @@ def is_maximal(w: Word, k: int) -> bool:
     return is_crucial(w, k) and None not in prefix_completions(w.letters, w.alphabet_size, k)
 
 
-@dataclass(frozen=True)
-class CrucialDecomposition:
+class CrucialDecomposition(_Record):
     """The nested suffix chain of a crucial word.
 
     delta_lengths[i-1] is |D_i|; gaps[i-2] is the factor Y_i with
@@ -82,6 +80,20 @@ class CrucialDecomposition:
     delta_lengths: tuple[int, ...]
     gaps: tuple[Word, ...]
     blocks: tuple[tuple[Word, ...], ...]
+
+    def __init__(
+        self,
+        word: Word,
+        exponent: int,
+        delta_lengths: tuple[int, ...],
+        gaps: tuple[Word, ...],
+        blocks: tuple[tuple[Word, ...], ...],
+    ) -> None:
+        _setfield(self, "word", word)
+        _setfield(self, "exponent", exponent)
+        _setfield(self, "delta_lengths", delta_lengths)
+        _setfield(self, "gaps", gaps)
+        _setfield(self, "blocks", blocks)
 
     def delta(self, i: int) -> Word:
         """The suffix D_i of the input word."""
@@ -177,21 +189,22 @@ def normalize(w: Word, k: int) -> tuple[Word, tuple[int, ...]]:
     return renamed, perm
 
 
-@dataclass(frozen=True)
-class OccurrenceProfile:
+class OccurrenceProfile(_Record):
     """(a0; a1 <= ... <= a_{n-1}): count of letter n, then sorted other counts."""
 
     a0: int
     rest: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.rest, tuple):
-            object.__setattr__(self, "rest", tuple(self.rest))
-        for a in (self.a0, *self.rest):
+    def __init__(self, a0: int, rest: tuple[int, ...]) -> None:
+        if not isinstance(rest, tuple):
+            rest = tuple(rest)
+        for a in (a0, *rest):
             if type(a) is not int or a < 0:  # a bool or float is no count
                 raise DomainError(f"counts must be non-negative ints, got {a!r}")
-        if any(b < a for a, b in zip(self.rest, self.rest[1:])):
+        if any(b < a for a, b in zip(rest, rest[1:])):
             raise DomainError("rest counts must be non-decreasing")
+        _setfield(self, "a0", a0)
+        _setfield(self, "rest", rest)
 
     def __str__(self) -> str:
         return f"({self.a0}; {', '.join(str(a) for a in self.rest)})"

@@ -44,20 +44,23 @@ packed difference equals a unit vector only when the count vectors are equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
-from .words import Word, _word_of, packed_prefixes
+from .words import Word, _Record, _setfield, _word_of, packed_prefixes
 
 
-@dataclass(frozen=True)
-class PowerOccurrence:
+class PowerOccurrence(_Record):
     """One occurrence of a (possibly abelian) k-th power factor."""
 
     start: int
     block_length: int
     exponent: int
+
+    def __init__(self, start: int, block_length: int, exponent: int) -> None:
+        _setfield(self, "start", start)
+        _setfield(self, "block_length", block_length)
+        _setfield(self, "exponent", exponent)
 
     @property
     def end(self) -> int:

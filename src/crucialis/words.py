@@ -10,13 +10,19 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass
+from itertools import accumulate
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, FormatError, ParseError
 
 MAX_ALPHABET = 64
 _SHIFT = 16  # per-letter lane width in packed Parikh prefixes
+# _UNIT[shift](a): the packed letter counts of the one-letter word a; no letter is 0
+_UNIT = {
+    shift: (None, *(1 << (a - 1) * shift for a in range(1, MAX_ALPHABET + 1))).__getitem__
+    for shift in (_SHIFT, 2 * _SHIFT)
+}
 
 
 class WordFormat(enum.Enum):
@@ -24,20 +30,70 @@ class WordFormat(enum.Enum):
     SPACED = "spaced"
 
 
-@dataclass(frozen=True)
-class Word:
+# stores a field past _Record.__setattr__, as a frozen dataclass's __init__ does
+_setfield = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable value records.
+
+    A subclass annotates its fields (two or more) in order and writes an
+    __init__ that stores each one with _setfield. The base gives what a frozen
+    dataclass would: equality with instances of the same class only, a hash
+    and a repr over the field values, positional __match_args__, and
+    assignment or deletion raising AttributeError. Each reads the fields
+    through one operator.attrgetter, without a Python loop.
+    """
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = tuple(cls.__annotations__)
+        cls._values = attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other):
+        cls = self.__class__
+        if other.__class__ is cls:
+            return cls._values(self) == cls._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__class__._values(self))
+
+    def __repr__(self) -> str:
+        cls = self.__class__
+        fields = map("{}={!r}".format, cls.__match_args__, cls._values(self))
+        return f"{cls.__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Word(_Record):
     """Immutable word over the alphabet {1..alphabet_size}.
 
-    cruciality memoises its verdicts in the instance's __dict__; equality,
-    hashing and repr read only the two fields.
+    Word(letters, alphabet_size) checks that alphabet_size is in
+    1..MAX_ALPHABET and every letter in 1..alphabet_size, and stores letters
+    as a tuple. Words are plain immutable records, not dataclasses, so the
+    word commands start without importing dataclasses. cruciality memoises
+    its verdicts in the instance's __dict__; equality, hashing and repr read
+    only the two fields.
     """
 
     letters: tuple[int, ...]
     alphabet_size: int
 
+    def __init__(self, letters: tuple[int, ...], alphabet_size: int) -> None:
+        _setfield(self, "letters", letters)
+        _setfield(self, "alphabet_size", alphabet_size)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
+        """The check of Word(...), a method of its own so that a tracer can
+        wrap it (perfbench/layers.py times it as the words layer)."""
         if not isinstance(self.letters, tuple):
-            object.__setattr__(self, "letters", tuple(self.letters))
+            _setfield(self, "letters", tuple(self.letters))
         _check(self.letters, self.alphabet_size)
 
     def __len__(self) -> int:
@@ -86,8 +142,8 @@ def _word_of(letters: tuple[int, ...], n: int) -> Word:
     word(...), parse_word and Word.append.
     """
     w = object.__new__(Word)
-    object.__setattr__(w, "letters", letters)
-    object.__setattr__(w, "alphabet_size", n)
+    _setfield(w, "letters", letters)
+    _setfield(w, "alphabet_size", n)
     return w
 
 
@@ -120,15 +176,11 @@ def packed_prefixes(letters: Sequence[int]) -> tuple[list[int], int]:
     Lanes are _SHIFT = 16 bits wide, which is collision-free for words up to
     65535 letters; longer words get lanes twice as wide. Returns (prefixes,
     shift) where prefixes[i] encodes the length-i prefix and block
-    comparisons reduce to integer subtraction.
+    comparisons reduce to integer subtraction. Every letter must be in
+    1..MAX_ALPHABET, as in every checked Word.
     """
     shift = _SHIFT if len(letters) < (1 << _SHIFT) else 2 * _SHIFT
-    p = 0
-    out = [0] * (len(letters) + 1)
-    for i, a in enumerate(letters):
-        p += 1 << ((a - 1) * shift)
-        out[i + 1] = p
-    return out, shift
+    return list(accumulate(map(_UNIT[shift], letters), initial=0)), shift
 
 
 def parse_word(

@@ -538,34 +538,45 @@ class TestUsage:
             )
 
 
-_WORD_LAYERS = ("search", "_native", "cruciality", "powers")
+_SEARCH = ("crucialis.search", "crucialis._native")
+_WORD_LAYERS = (*_SEARCH, "crucialis.cruciality", "crucialis.powers")
+# the package's records are plain classes; only search's still load these
+_DATACLASSES = ("dataclasses", "inspect")
 
 
 @pytest.mark.parametrize(
     "argv,absent",
     [
-        (["table", "bounds"], _WORD_LAYERS),
-        (["construct", "--family", "dnk", "--n", "8", "--k", "4"], _WORD_LAYERS),
-        (["check", "--what", "crucial", "--k", "3", "--word", "11231213311"], ("search", "_native")),
-        (["search", "--n", "3", "--k", "3"], ("cruciality",)),
+        (["table", "bounds"], (*_WORD_LAYERS, *_DATACLASSES)),
+        (["construct", "--family", "dnk", "--n", "8", "--k", "4"], (*_WORD_LAYERS, *_DATACLASSES)),
+        (["check", "--what", "crucial", "--k", "3", "--word", "11231213311"], (*_SEARCH, *_DATACLASSES)),
+        (["decompose", "--k", "3", "--word", "11231321211"], (*_SEARCH, *_DATACLASSES)),
+        (["profile", "--word", "11231321211"], (*_SEARCH, *_DATACLASSES)),
+        (["search", "--n", "3", "--k", "3"], ("crucialis.cruciality",)),
     ],
-    ids=["table", "construct", "check", "search"],
+    ids=["table", "construct", "check", "decompose", "profile", "search"],
 )
 def test_command_loads_only_what_it_runs(argv, absent):
     # each command imports its modules when it runs; a top-level import in
-    # cli.py or the package would load them for every command
-    script = (
+    # cli.py or the package would load them for every command. A module the
+    # bare interpreter already loads (a site hook, say) is not the command's.
+    env = dict(os.environ, PYTHONPATH=str(Path(crucialis.__file__).parents[1]))
+
+    def modules(script, *args):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    bare = set(modules("import sys; print(*sys.modules)"))
+    code, *loaded = modules(
         "import io, sys\n"
         "from crucialis import cli\n"
         "code = cli.run(sys.argv[1:], out=io.StringIO())\n"
-        "print(code, *sorted(m for m in sys.modules if m.startswith('crucialis.')))\n"
+        "print(code, *sys.modules)\n",
+        *argv,
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(crucialis.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    code, *loaded = proc.stdout.split()
     assert code == "0"
     assert "crucialis.cli" in loaded
-    assert sorted({f"crucialis.{m}" for m in absent} & set(loaded)) == []
+    assert sorted((set(absent) - bare) & set(loaded)) == []

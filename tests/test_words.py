@@ -2,6 +2,7 @@
 
 import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -116,6 +117,18 @@ class TestParikh:
         # lane 0 counts letter 1, lane 1 counts letter 2
         assert p[5] == 2 + (3 << 16)
         assert p[3] - p[1] == 1 + (1 << 16)
+
+    @pytest.mark.parametrize("length,shift", [(1000, 16), (65535, 16), (65536, 32)])
+    def test_packed_prefixes_count_every_letter(self, length, shift):
+        rng = random.Random(length)
+        letters = [rng.randint(1, MAX_ALPHABET) for _ in range(length)]
+        p, got_shift = packed_prefixes(letters)
+        assert got_shift == shift and len(p) == length + 1 and p[0] == 0
+        counts = [0] * MAX_ALPHABET
+        for a in letters:
+            counts[a - 1] += 1
+        assert p[-1] == sum(c << (a * shift) for a, c in enumerate(counts))
+        assert all(p[i + 1] - p[i] == 1 << (a - 1) * shift for i, a in enumerate(letters))
 
 
 class TestParseRender:
